@@ -42,7 +42,7 @@ pub enum AsvError {
     Shutdown,
     /// Admission control rejected a frame because the target queue is full.
     Saturated {
-        /// Which queue rejected the frame (session, shard or ingest queue).
+        /// Which queue rejected the frame (a session's inbox).
         context: String,
     },
     /// A frame on the wire failed to decode (network ingest edge).
@@ -120,7 +120,7 @@ impl AsvError {
     /// Builds an [`AsvError::Config`] from anything displayable.
     pub fn config(context: impl fmt::Display) -> Self {
         AsvError::Config {
-            context: context.to_string(),
+            context: context.to_string(), // lint: alloc-ok(error path)
         }
     }
 

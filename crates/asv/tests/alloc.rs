@@ -23,9 +23,37 @@ use asv_mem::alloc_count::{self, CountingAllocator};
 use asv_scene::{SceneConfig, StereoSequence};
 use asv_stereo::block_matching::BlockMatchParams;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
+
+/// The counting allocator sees the whole process, so a test measuring an
+/// allocation window must not overlap any other test of this binary: every
+/// test holds this lock for its whole body (a property test for each case,
+/// whose inputs are drawn without allocating).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; the others must still run.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns once no thread has allocated for 10 ms (giving up after 5 s);
+/// call it, holding [`serial`], right before opening a measured window.
+/// The harness's own work for the test that last released the lock
+/// (reporting its result, spawning the next test thread) runs outside
+/// every test body.
+fn settle() {
+    for _ in 0..500 {
+        let before = alloc_count::allocations();
+        std::thread::sleep(Duration::from_millis(10));
+        if alloc_count::allocations() == before {
+            return;
+        }
+    }
+}
 
 fn pipeline(width: usize, height: usize, window: usize, max_disparity: usize) -> IsmPipeline {
     pipeline_with_metric(width, height, window, max_disparity, CostMetric::Sad)
@@ -74,6 +102,7 @@ fn steady_state_allocations(seq: &StereoSequence, pipe: &IsmPipeline) -> u64 {
         let result = state.step_with(&mut ws, &frame.left, &frame.right).unwrap();
         ws.recycle(result.disparity);
     }
+    settle();
     let before = alloc_count::allocations();
     for frame in &seq.frames()[2..] {
         let result = state.step_with(&mut ws, &frame.left, &frame.right).unwrap();
@@ -104,6 +133,7 @@ fn steady_state_allocations_baseline(seq: &StereoSequence, pipe: &IsmPipeline) -
 /// not touch the heap.
 #[test]
 fn steady_state_step_performs_zero_allocations() {
+    let _serial = serial();
     let pipe = pipeline(64, 48, 4, 32);
     let seq = sequence(64, 48, 10, 21);
     let allocs = steady_state_allocations(&seq, &pipe);
@@ -118,6 +148,7 @@ fn steady_state_step_performs_zero_allocations() {
 /// workspace's selection buffer.
 #[test]
 fn adaptive_policy_steady_state_is_also_zero_allocation() {
+    let _serial = serial();
     let base = pipeline(64, 48, 4, 32);
     let config = IsmConfig {
         key_frame_policy: asv::KeyFramePolicy::AdaptiveMotion {
@@ -143,6 +174,7 @@ fn adaptive_policy_steady_state_is_also_zero_allocation() {
 /// 8) allocates nothing either.
 #[test]
 fn census_metric_steady_state_is_also_zero_allocation() {
+    let _serial = serial();
     let pipe = pipeline_with_metric(64, 48, 4, 32, CostMetric::Census);
     let seq = sequence(64, 48, 10, 21);
     let allocs = steady_state_allocations(&seq, &pipe);
@@ -160,6 +192,7 @@ fn census_metric_steady_state_is_also_zero_allocation() {
 #[test]
 fn tracing_in_ring_mode_adds_zero_steady_state_allocations() {
     use asv::trace::{TraceConfig, TraceMode};
+    let _serial = serial();
     let pipe = pipeline(64, 48, 4, 32);
     let seq = sequence(64, 48, 10, 21);
     let mut state = pipe.state();
@@ -173,6 +206,7 @@ fn tracing_in_ring_mode_adds_zero_steady_state_allocations() {
         let result = state.step_with(&mut ws, &frame.left, &frame.right).unwrap();
         ws.recycle(result.disparity);
     }
+    settle();
     let before = alloc_count::allocations();
     for frame in &seq.frames()[2..] {
         let result = state.step_with(&mut ws, &frame.left, &frame.right).unwrap();
@@ -197,6 +231,7 @@ fn tracing_in_ring_mode_adds_zero_steady_state_allocations() {
 /// the regression test protects).
 #[test]
 fn allocating_path_allocates_and_workspace_path_does_not() {
+    let _serial = serial();
     let pipe = pipeline(64, 48, 4, 32);
     let seq = sequence(64, 48, 10, 21);
     let baseline = steady_state_allocations_baseline(&seq, &pipe);
@@ -221,6 +256,7 @@ proptest! {
         width in 28usize..48,
         height in 20usize..32,
     ) {
+        let _serial = serial();
         let pipe = pipeline(width, height, window, 16);
         let seq = sequence(width, height, frames, seed);
         let mut fresh = pipe.state();
@@ -244,6 +280,7 @@ proptest! {
         seed in 0u64..1_000,
         threshold in 0.0f32..2.0,
     ) {
+        let _serial = serial();
         let base = pipeline(40, 28, 3, 16);
         let config = IsmConfig {
             key_frame_policy: asv::KeyFramePolicy::AdaptiveMotion {

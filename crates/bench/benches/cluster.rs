@@ -1,4 +1,4 @@
-//! Criterion benchmark of the sharded runtime: ingest-fronted cluster vs
+//! Criterion benchmark of the sharded runtime: a multi-shard cluster vs the
 //! single-scheduler baseline on identical synthetic camera streams.
 
 use asv_bench::cluster::cluster_throughput;

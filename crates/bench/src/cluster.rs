@@ -1,7 +1,7 @@
 //! Cluster scale-out experiment: aggregate throughput of the sharded
-//! runtime (ingest front-end → `Cluster` → scheduler shards) as the shard
-//! count grows, against the single-scheduler baseline on identical
-//! workloads.
+//! runtime (`Cluster` → scheduler shards, one feeder thread per session
+//! submitting straight to its shard) as the shard count grows, against the
+//! single-scheduler baseline on identical workloads.
 //!
 //! The single scheduler serializes all bookkeeping on one engine lock; the
 //! cluster gives every shard its own lock and worker pool, so on a
@@ -9,9 +9,7 @@
 //! shard count while per-shard queue pressure drops.
 
 use crate::streaming::{streaming_pipeline, streams, STREAM_HEIGHT, STREAM_WIDTH};
-use asv_runtime::{
-    serve_sequences, Cluster, ClusterConfig, Ingest, IngestConfig, SchedulerConfig, ShedPolicy,
-};
+use asv_runtime::{serve_sequences, Cluster, ClusterConfig, SchedulerConfig};
 use serde::{Deserialize, Serialize};
 
 /// One row of the cluster-throughput experiment.
@@ -69,7 +67,7 @@ pub fn cluster_throughput(
     .expect("single-scheduler baseline serves");
     let single_fps = single.aggregate.frames_per_second();
 
-    // The cluster, fed through the async ingest front-end.
+    // The cluster, each feeder submitting straight to its session's shard.
     let cluster = Cluster::new(
         ClusterConfig::new(shards).with_shard_config(
             SchedulerConfig::per_core()
@@ -77,31 +75,24 @@ pub fn cluster_throughput(
                 .with_inbox_capacity(2),
         ),
     );
-    let ingest = Ingest::new(
-        IngestConfig::default()
-            .with_policy(ShedPolicy::Block)
-            .with_queue_capacity((sessions * 2).max(4))
-            .with_session_quota(2),
-    );
-    let routes: Vec<_> = (0..sessions)
+    let handles: Vec<_> = (0..sessions)
         .map(|i| {
-            let placed = cluster.add_session(&format!("bench-cam-{i}"), pipeline.state());
-            ingest.register(placed.handle().clone())
+            cluster
+                .add_session(&format!("bench-cam-{i}"), pipeline.state(), None)
+                .expect("a healthy cluster places every session")
         })
         .collect();
     std::thread::scope(|scope| {
-        for (route, stream) in routes.iter().zip(&workload) {
-            let route = route.clone();
+        for (session, stream) in handles.iter().zip(&workload) {
             scope.spawn(move || {
                 for frame in stream.frames() {
-                    route
+                    session
                         .submit(frame.left.clone(), frame.right.clone())
-                        .expect("lossless ingest accepts");
+                        .expect("lossless shard accepts");
                 }
             });
         }
     });
-    let stats = ingest.join();
     let report = cluster.join();
     let cluster_fps = report.aggregate.frames_per_second();
 
@@ -115,7 +106,7 @@ pub fn cluster_throughput(
         speedup: cluster_fps / single_fps.max(1e-9),
         p95_us: report.aggregate.service_latency.p95_us(),
         peak_queue_depth: report.aggregate.peak_queue_depth,
-        frames_shed: report.aggregate.frames_shed + stats.shed(),
+        frames_shed: report.aggregate.frames_shed,
     }
 }
 

@@ -17,10 +17,10 @@
 //! Sessions are placed by consistent hashing of their routing key over a
 //! ring of virtual nodes ([`ClusterConfig::replicas`] per shard), so the
 //! same key always lands on the same shard and adding shards moves only
-//! `~1/N` of the keys.  Two escape hatches exist ([`Placement`]): an
-//! explicit pinned shard, and a least-loaded fallback that placement
-//! automatically takes when the hashed shard is saturated (every inbox
-//! full).
+//! `~1/N` of the keys.  The ring walk skips failed shards, so a key moves
+//! deterministically when its shard dies, and placement falls back to the
+//! least-loaded surviving shard when the hashed shard is saturated (every
+//! inbox full).
 //!
 //! # Determinism
 //!
@@ -87,19 +87,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// How [`Cluster::add_session_with`] chooses a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Consistent hash of the routing key, falling back to the least-loaded
-    /// shard when the hashed shard is saturated.  The default.
-    Hashed,
-    /// Pin the session to a specific shard index (explicit override).
-    Pinned(usize),
-    /// Ignore the key and place on the shard with the lowest instantaneous
-    /// load.
-    LeastLoaded,
-}
-
 /// 64-bit FNV-1a with a splitmix64 finalizer — deterministic across runs
 /// and platforms, which is what a placement function must be (`std`'s
 /// `DefaultHasher` explicitly is not).  Raw FNV-1a mixes the final byte
@@ -128,17 +115,10 @@ pub struct Cluster {
     shards: Vec<Scheduler>,
     /// Sorted `(hash, shard)` virtual nodes.
     ring: Vec<(u64, usize)>,
-    /// Sessions re-placed *away* from each shard after it failed
-    /// (`asv_sessions_migrated_total{shard}`); shared with observers.
-    migrated: Arc<Vec<AtomicU64>>,
-    /// Transport error counters of the cluster's network edge
-    /// (`asv_transport_errors_total{kind}`); hand
-    /// [`Cluster::transport_counters`] to servers/clients so their failures
-    /// surface in this cluster's scrape.
-    transport: Arc<TransportCounters>,
-    /// Flipped by [`Cluster::begin_drain`] (and by `join`): `/healthz`
-    /// answers 503 so load balancers stop routing before sessions drain.
-    draining: Arc<AtomicBool>,
+    /// The cluster's own observation handle: live telemetry, the
+    /// cluster-level counters and the drain flag, shared with every
+    /// observer handed out.
+    observer: ClusterObserver,
 }
 
 /// Producer-side handle of one cluster session: the shard's
@@ -161,8 +141,7 @@ impl ClusterSessionHandle {
         &self.key
     }
 
-    /// The underlying per-shard session handle (e.g. to hand to the ingest
-    /// layer).
+    /// The underlying per-shard session handle.
     pub fn handle(&self) -> &SessionHandle {
         &self.handle
     }
@@ -219,7 +198,7 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Self {
         let shard_count = config.shards.max(1);
         let replicas = config.replicas.max(1);
-        let shards = (0..shard_count)
+        let shards: Vec<Scheduler> = (0..shard_count)
             .map(|_| Scheduler::new(config.shard))
             .collect();
         let mut ring = Vec::with_capacity(shard_count * replicas);
@@ -232,38 +211,22 @@ impl Cluster {
             }
         }
         ring.sort_unstable();
-        Self {
-            shards,
-            ring,
+        let observer = ClusterObserver {
+            shards: shards.iter().map(Scheduler::observer).collect(),
             migrated: Arc::new((0..shard_count).map(|_| AtomicU64::new(0)).collect()),
             transport: Arc::new(TransportCounters::new()),
             draining: Arc::new(AtomicBool::new(false)),
+        };
+        Self {
+            shards,
+            ring,
+            observer,
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shard the consistent-hash ring assigns to `key` (before any
-    /// saturation fallback).
-    pub fn shard_for_key(&self, key: &str) -> usize {
-        let hash = fnv1a(key.as_bytes());
-        // First virtual node clockwise from the key's hash, wrapping.
-        let at = self.ring.partition_point(|&(h, _)| h < hash);
-        self.ring[at % self.ring.len()].1
-    }
-
-    /// The shard with the lowest instantaneous load (ties go to the lowest
-    /// index).
-    pub fn least_loaded_shard(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.load())
-            .map(|(i, _)| i)
-            .expect("cluster has at least one shard")
     }
 
     /// Kills one shard (fault injection, or the supervisor reacting to a
@@ -283,7 +246,7 @@ impl Cluster {
 
     /// Number of shards that have not failed.
     pub fn live_shard_count(&self) -> usize {
-        self.shards.iter().filter(|s| !s.is_failed()).count()
+        self.observer.live_shard_count()
     }
 
     /// The shard with the lowest instantaneous load among surviving shards.
@@ -291,7 +254,7 @@ impl Cluster {
     /// # Errors
     ///
     /// [`AsvError::ShardDown`] when every shard has failed.
-    pub fn least_loaded_live_shard(&self) -> Result<usize, AsvError> {
+    fn least_loaded_live_shard(&self) -> Result<usize, AsvError> {
         self.shards
             .iter()
             .enumerate()
@@ -323,18 +286,22 @@ impl Cluster {
         ))
     }
 
-    /// Places a new session on a *surviving* shard: failure-aware
-    /// consistent hashing with the least-loaded-live fallback under
-    /// saturation.  This is the re-placement path a supervisor takes when a
-    /// session's shard dies.
+    /// Places a new session on a *surviving* shard and registers it there
+    /// under `key` (see [`Scheduler::add_session`] for `qos`): failure-aware
+    /// consistent hashing, falling back to the least-loaded surviving shard
+    /// when the hashed shard is saturated.  This is also the re-placement
+    /// path a supervisor takes when a session's shard dies.  A session under
+    /// an SLO exports its degradation level per shard as
+    /// `asv_qos_level{shard,session}`.
     ///
     /// # Errors
     ///
     /// [`AsvError::ShardDown`] when every shard has failed.
-    pub fn add_session_live(
+    pub fn add_session(
         &self,
         key: &str,
         state: IsmState,
+        qos: Option<QosConfig>,
     ) -> Result<ClusterSessionHandle, AsvError> {
         let hashed = self.live_shard_for_key(key)?;
         let shard = if self.shards[hashed].is_saturated() {
@@ -342,7 +309,7 @@ impl Cluster {
         } else {
             hashed
         };
-        let handle = self.shards[shard].add_session_labeled(state, Some(key.to_owned())); // lint: alloc-ok(session placement, once per stream)
+        let handle = self.shards[shard].add_session(state, Some(key.to_owned()), qos); // lint: alloc-ok(session placement, once per stream)
         Ok(ClusterSessionHandle {
             shard,
             key: key.to_owned(), // lint: alloc-ok(session placement, once per stream)
@@ -354,7 +321,7 @@ impl Cluster {
     /// calls this after a successful re-placement); exported as
     /// `asv_sessions_migrated_total{shard}`.
     pub fn record_migration(&self, from_shard: usize) {
-        if let Some(counter) = self.migrated.get(from_shard) {
+        if let Some(counter) = self.observer.migrated.get(from_shard) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -363,7 +330,7 @@ impl Cluster {
     /// hand them to [`crate::FrameServer`] / [`crate::FrameClient`] so the
     /// network edge's failures appear in the scrape.
     pub fn transport_counters(&self) -> Arc<TransportCounters> {
-        Arc::clone(&self.transport)
+        Arc::clone(&self.observer.transport)
     }
 
     /// Marks the cluster as draining: `/healthz` (via [`ClusterObserver`])
@@ -371,112 +338,18 @@ impl Cluster {
     /// automatically at the start of [`Cluster::join`]; call it earlier to
     /// give load balancers a head start.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
+        self.observer.draining.store(true, Ordering::Release);
     }
 
     /// Whether [`Cluster::begin_drain`] (or `join`) has run.
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    /// Places a new session by consistent hashing of `key` (with the
-    /// least-loaded fallback when the hashed shard is saturated) and
-    /// registers it there.
-    pub fn add_session(&self, key: &str, state: IsmState) -> ClusterSessionHandle {
-        self.add_session_with(Placement::Hashed, key, state)
-            .expect("hashed placement cannot fail")
-    }
-
-    /// [`Cluster::add_session`] with a per-session key-frame cost metric:
-    /// the [`asv::CostMetric`] override takes effect from the stream's first
-    /// key frame, so differently-configured streams can share one cluster.
-    pub fn add_session_with_metric(
-        &self,
-        key: &str,
-        mut state: IsmState,
-        metric: asv::CostMetric,
-    ) -> ClusterSessionHandle {
-        state.set_cost_metric(metric);
-        self.add_session(key, state)
-    }
-
-    /// [`Cluster::add_session`] under an SLO: the session's shard attaches a
-    /// QoS controller that degrades the stream's ISM knobs when the SLO is
-    /// violated and recovers with hysteresis (see
-    /// [`Scheduler::add_session_qos`]).  The session's current degradation
-    /// level is exported per shard as `asv_qos_level{shard,session}`.
-    pub fn add_session_qos(
-        &self,
-        key: &str,
-        state: IsmState,
-        qos: QosConfig,
-    ) -> ClusterSessionHandle {
-        let shard = {
-            let hashed = self.shard_for_key(key);
-            if self.shards[hashed].is_saturated() {
-                self.least_loaded_shard()
-            } else {
-                hashed
-            }
-        };
-        let handle = self.shards[shard].add_session_qos(state, Some(key.to_owned()), qos);
-        ClusterSessionHandle {
-            shard,
-            key: key.to_owned(),
-            handle,
-        }
-    }
-
-    /// Places a new session with an explicit [`Placement`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AsvError::Config`] when `Placement::Pinned` names a shard
-    /// index out of range.
-    pub fn add_session_with(
-        &self,
-        placement: Placement,
-        key: &str,
-        state: IsmState,
-    ) -> Result<ClusterSessionHandle, AsvError> {
-        let shard = match placement {
-            Placement::Pinned(shard) => {
-                if shard >= self.shards.len() {
-                    return Err(AsvError::config(format!(
-                        "pinned shard {shard} out of range (cluster has {} shards)",
-                        self.shards.len()
-                    )));
-                }
-                shard
-            }
-            Placement::LeastLoaded => self.least_loaded_shard(),
-            Placement::Hashed => {
-                let hashed = self.shard_for_key(key);
-                if self.shards[hashed].is_saturated() {
-                    self.least_loaded_shard()
-                } else {
-                    hashed
-                }
-            }
-        };
-        let handle = self.shards[shard].add_session_labeled(state, Some(key.to_owned()));
-        Ok(ClusterSessionHandle {
-            shard,
-            key: key.to_owned(),
-            handle,
-        })
+        self.observer.is_draining()
     }
 
     /// Live per-shard telemetry snapshots (the scrape path), including the
     /// cluster-level migration and transport-error counters.
     pub fn telemetry(&self) -> Vec<AggregateTelemetry> {
-        let mut per_shard: Vec<AggregateTelemetry> = self
-            .shards
-            .iter()
-            .map(Scheduler::telemetry_snapshot)
-            .collect(); // lint: alloc-ok(telemetry snapshot, off the frame path)
-        fold_cluster_counters(&mut per_shard, &self.migrated, &self.transport);
-        per_shard
+        self.observer.telemetry()
     }
 
     /// Live cross-shard merge of every shard's telemetry.
@@ -497,12 +370,7 @@ impl Cluster {
     /// HTTP metrics endpoint: it can snapshot telemetry and collect frame
     /// traces but cannot place sessions or shut the cluster down.
     pub fn observer(&self) -> ClusterObserver {
-        ClusterObserver {
-            shards: self.shards.iter().map(Scheduler::observer).collect(),
-            migrated: Arc::clone(&self.migrated),
-            transport: Arc::clone(&self.transport),
-            draining: Arc::clone(&self.draining),
-        }
+        self.observer.clone()
     }
 
     /// Shuts every shard down (draining its inboxes), joins all worker
@@ -512,12 +380,11 @@ impl Cluster {
     pub fn join(self) -> ClusterReport {
         self.begin_drain();
         let mut shards: Vec<RuntimeReport> = self.shards.into_iter().map(Scheduler::join).collect();
-        for (report, counter) in shards.iter_mut().zip(self.migrated.iter()) {
-            report.aggregate.sessions_migrated = counter.load(Ordering::Relaxed);
-        }
-        if let Some(first) = shards.first_mut() {
-            first.aggregate.transport_errors = self.transport.snapshot();
-        }
+        fold_cluster_counters(
+            shards.iter_mut().map(|report| &mut report.aggregate),
+            &self.observer.migrated,
+            &self.observer.transport,
+        );
         let mut aggregate = AggregateTelemetry::default();
         for shard in &shards {
             aggregate.merge(&shard.aggregate);
@@ -531,16 +398,16 @@ impl Cluster {
 /// counters are a cluster-wide edge concern and ride on the first shard's
 /// snapshot (the exporter sums across shards and emits them without a
 /// `shard` label).
-fn fold_cluster_counters(
-    per_shard: &mut [AggregateTelemetry],
+fn fold_cluster_counters<'a>(
+    per_shard: impl IntoIterator<Item = &'a mut AggregateTelemetry>,
     migrated: &[AtomicU64],
     transport: &TransportCounters,
 ) {
-    for (aggregate, counter) in per_shard.iter_mut().zip(migrated) {
+    for (shard, (aggregate, counter)) in per_shard.into_iter().zip(migrated).enumerate() {
         aggregate.sessions_migrated = counter.load(Ordering::Relaxed);
-    }
-    if let Some(first) = per_shard.first_mut() {
-        first.transport_errors = transport.snapshot();
+        if shard == 0 {
+            aggregate.transport_errors = transport.snapshot();
+        }
     }
 }
 
@@ -551,8 +418,16 @@ fn fold_cluster_counters(
 #[derive(Debug, Clone)]
 pub struct ClusterObserver {
     shards: Vec<SchedulerObserver>,
+    /// Sessions re-placed *away* from each shard after it failed
+    /// (`asv_sessions_migrated_total{shard}`).
     migrated: Arc<Vec<AtomicU64>>,
+    /// Transport error counters of the cluster's network edge
+    /// (`asv_transport_errors_total{kind}`); hand
+    /// [`Cluster::transport_counters`] to servers/clients so their failures
+    /// surface in this cluster's scrape.
     transport: Arc<TransportCounters>,
+    /// Flipped by [`Cluster::begin_drain`] (and by `join`): `/healthz`
+    /// answers 503 so load balancers stop routing before sessions drain.
     draining: Arc<AtomicBool>,
 }
 
@@ -608,6 +483,12 @@ impl ClusterObserver {
 mod tests {
     use super::*;
 
+    fn shard_for_key(cluster: &Cluster, key: &str) -> usize {
+        cluster
+            .live_shard_for_key(key)
+            .expect("no shard has failed")
+    }
+
     fn ring_only_cluster(shards: usize) -> Cluster {
         // Zero-worker shards: cheap to build, nothing runs.
         Cluster::new(
@@ -620,9 +501,9 @@ mod tests {
     fn hashing_is_deterministic_and_total() {
         let cluster = ring_only_cluster(4);
         for key in ["cam-0", "cam-1", "warehouse/aisle-7", ""] {
-            let shard = cluster.shard_for_key(key);
+            let shard = shard_for_key(&cluster, key);
             assert!(shard < 4);
-            assert_eq!(shard, cluster.shard_for_key(key), "stable for {key:?}");
+            assert_eq!(shard, shard_for_key(&cluster, key), "stable for {key:?}");
         }
     }
 
@@ -631,7 +512,7 @@ mod tests {
         let cluster = ring_only_cluster(4);
         let mut hit = [0usize; 4];
         for i in 0..256 {
-            hit[cluster.shard_for_key(&format!("camera-{i}"))] += 1;
+            hit[shard_for_key(&cluster, &format!("camera-{i}"))] += 1;
         }
         assert!(
             hit.iter().all(|&h| h > 0),
@@ -646,7 +527,7 @@ mod tests {
         let moved = (0..512)
             .filter(|i| {
                 let key = format!("camera-{i}");
-                four.shard_for_key(&key) != five.shard_for_key(&key)
+                shard_for_key(&four, &key) != shard_for_key(&five, &key)
             })
             .count();
         // Consistent hashing moves ~1/5 of keys; a modulo scheme moves ~4/5.

@@ -12,18 +12,17 @@
 //!   sessions, with round-robin fairness and bounded-inbox backpressure
 //!   (see the [`scheduler`] module docs for the full model);
 //! * [`StreamSession`] / [`SessionHandle`] — one camera stream = one ISM
-//!   state; producers submit frames and block when they outrun the engine;
+//!   state; producers submit frames into the session's bounded inbox, the
+//!   one queue a frame waits in, whose [`ShedPolicy`] (block / reject /
+//!   drop-oldest) decides what happens when they outrun the engine;
 //! * [`telemetry`] — per-session and aggregate counters, key/non-key frame
 //!   ratios, log-bucketed latency histograms (p50/p95/p99) and queue-depth
 //!   gauges;
 //! * [`serve_sequences`] — drive whole [`asv_scene::StereoSequence`]s as
 //!   simulated live feeds (one feeder thread per stream);
 //! * [`cluster`] — the scale-out layer: a [`Cluster`] of `N` independent
-//!   scheduler shards with consistent-hash session placement (pinned
-//!   override and least-loaded fallback);
-//! * [`ingest`] — the async ingestion front-end: a bounded submission queue
-//!   with per-session quotas and a configurable [`ShedPolicy`]
-//!   (block / reject / drop-oldest) so a hot session cannot starve intake;
+//!   scheduler shards with failure-aware consistent-hash session placement
+//!   and a least-loaded fallback for saturated shards;
 //! * [`export`] — [`render_prometheus`]: the telemetry in Prometheus text
 //!   format, ready to serve from a `/metrics` endpoint;
 //! * [`sim`] — the deterministic simulation harness proving that an
@@ -73,7 +72,6 @@
 pub mod cluster;
 pub mod export;
 pub mod http;
-pub mod ingest;
 pub mod knobs;
 pub mod net;
 pub mod qos;
@@ -88,12 +86,9 @@ pub mod wire;
 
 pub use asv::trace::Stage;
 pub use asv::CostMetric;
-pub use cluster::{
-    Cluster, ClusterConfig, ClusterObserver, ClusterReport, ClusterSessionHandle, Placement,
-};
+pub use cluster::{Cluster, ClusterConfig, ClusterObserver, ClusterReport, ClusterSessionHandle};
 pub use export::{parse_scrape, render_prometheus, ScrapeSample};
 pub use http::{HttpMetricsSource, MetricsServer};
-pub use ingest::{Ingest, IngestConfig, IngestStats, RouteHandle, RouteStats};
 pub use net::{
     Admit, ClientConfig, FrameClient, FrameServer, FrameSink, NetConfig, SequenceGate,
     TransportCounters, TransportErrorKind,

@@ -29,7 +29,8 @@
 //! Backpressure flows end-to-end: a slow shard blocks [`FrameSink::deliver`]
 //! (under [`crate::ShedPolicy::Block`]), which stalls the connection thread,
 //! which fills the TCP window, which parks the client in `write` — the same
-//! lossless-by-default story as the in-process ingest path.
+//! lossless-by-default story as an in-process producer submitting straight
+//! to its session.
 //!
 //! The `ASV_NET_*` environment knobs (see [`ClientConfig::from_env`] and
 //! [`NetConfig::from_env`]) configure deadlines, window, retry budget, the

@@ -48,7 +48,7 @@
 use crate::qos::{qos_enabled_from_env, QosConfig, QosController};
 use crate::queue::QueuedFrame;
 use crate::session::{SessionId, SessionReport, StreamSession};
-use crate::telemetry::AggregateTelemetry;
+use crate::telemetry::{AggregateTelemetry, SessionTelemetry};
 use asv::ism::{IsmResult, IsmState};
 use asv::trace::chrome::ChromeTrace;
 use asv::trace::TraceMode;
@@ -196,8 +196,8 @@ struct Shared {
     /// Producers park here when their session's inbox is full.
     space: Condvar,
     /// Planes of already-processed frames, recycled back to producers
-    /// through [`SessionHandle::recycled_frame`] so the ingest edge can
-    /// build new frames without fresh allocations.  A separate lock from the
+    /// through [`SessionHandle::recycled_frame`] so producers can build new
+    /// frames without fresh allocations.  A separate lock from the
     /// engine: recycling never contends with scheduling.
     frames: Mutex<BufferPool>,
     /// Engine start time; workers timestamp QoS observations against it so
@@ -227,6 +227,17 @@ impl Shared {
             Ok(guard) => guard,
             Err(poisoned) => self.mark_poisoned(poisoned.into_inner()),
         }
+    }
+
+    /// The live fold of every session's telemetry behind both
+    /// [`Scheduler::telemetry_snapshot`] and
+    /// [`SchedulerObserver::telemetry_snapshot`].
+    fn telemetry_snapshot(&self) -> AggregateTelemetry {
+        let engine = self.lock();
+        fold_sessions(
+            engine.sessions.iter().map(|s| (&s.telemetry, &s.label)),
+            self.started.elapsed().as_secs_f64(),
+        )
     }
 
     fn mark_poisoned<'a>(&self, mut guard: MutexGuard<'a, Engine>) -> MutexGuard<'a, Engine> {
@@ -259,7 +270,6 @@ pub struct Scheduler {
     workers: Vec<JoinHandle<()>>,
     inbox_capacity: usize,
     shed_policy: ShedPolicy,
-    started: Instant,
 }
 
 /// Producer-side handle of one registered session; cheap to clone and
@@ -300,7 +310,6 @@ impl Scheduler {
     /// Starts a scheduler with its worker pool running (idle until sessions
     /// get frames).
     pub fn new(config: SchedulerConfig) -> Self {
-        let started = Instant::now();
         let shared = Arc::new(Shared {
             engine: Mutex::new(Engine {
                 sessions: Vec::new(),
@@ -312,7 +321,7 @@ impl Scheduler {
             work: Condvar::new(),
             space: Condvar::new(),
             frames: Mutex::new(BufferPool::new()),
-            started,
+            started: Instant::now(),
         });
         let workers = (0..config.workers)
             .map(|_| {
@@ -325,63 +334,35 @@ impl Scheduler {
             workers,
             inbox_capacity: config.inbox_capacity.max(1),
             shed_policy: config.shed_policy,
-            started,
         }
     }
 
     /// Registers a new stream around a fresh ISM state (one per camera) and
     /// returns its producer handle.  Sessions may be added while the engine
     /// is serving.
-    pub fn add_session(&self, state: IsmState) -> SessionHandle {
-        self.add_session_labeled(state, None)
-    }
-
-    /// Registers a new stream with a per-session key-frame cost metric (the
-    /// [`asv::CostMetric`] override takes effect from the stream's first key
-    /// frame), leaving other streams on their own metrics.
-    pub fn add_session_with_metric(
-        &self,
-        mut state: IsmState,
-        metric: asv::CostMetric,
-    ) -> SessionHandle {
-        state.set_cost_metric(metric);
-        self.add_session(state)
-    }
-
-    /// Registers a new stream carrying a human-readable label (e.g. the
-    /// cluster routing key) that shows up in the session's final report.
-    pub fn add_session_labeled(&self, state: IsmState, label: Option<String>) -> SessionHandle {
-        self.register(state, label, None)
-    }
-
-    /// Registers a new stream under an SLO: the session gets a
-    /// [`crate::qos::QosController`] that watches its end-to-end step
-    /// latency and actuates the stream's ISM knobs (cost metric,
-    /// propagation window, adaptive-motion threshold) when the SLO is
-    /// violated, recovering with hysteresis when load drops.  The session's
-    /// current knobs are snapshotted as the full-quality baseline.
     ///
-    /// `ASV_QOS=off` disables the controller process-wide: the session is
-    /// registered normally and never degrades.
-    pub fn add_session_qos(
+    /// `label` (e.g. the cluster routing key) names the session in its final
+    /// report and in per-session exports.  With a `qos` configuration the
+    /// session gets a [`QosController`] that watches its end-to-end step
+    /// latency and actuates the stream's ISM knobs (cost metric, propagation
+    /// window, adaptive-motion threshold) when the SLO is violated,
+    /// recovering with hysteresis when load drops; the state's current knobs
+    /// are the full-quality baseline.  `ASV_QOS=off` disables the controller
+    /// process-wide.  A per-stream cost metric is set on the state itself
+    /// ([`IsmState::set_cost_metric`]) before registering.
+    pub fn add_session(
         &self,
         state: IsmState,
         label: Option<String>,
-        qos: QosConfig,
+        qos: Option<QosConfig>,
     ) -> SessionHandle {
-        let controller = qos_enabled_from_env().then(|| QosController::for_state(qos, &state));
-        self.register(state, label, controller)
-    }
-
-    fn register(
-        &self,
-        state: IsmState,
-        label: Option<String>,
-        qos: Option<QosController>,
-    ) -> SessionHandle {
+        let controller = qos
+            .filter(|_| qos_enabled_from_env())
+            .map(|config| QosController::for_state(config, &state));
         let mut engine = self.shared.lock();
         let id = SessionId(engine.sessions.len());
-        let mut session = StreamSession::new(id, state, self.inbox_capacity, label).with_qos(qos);
+        let mut session =
+            StreamSession::new(id, state, self.inbox_capacity, label).with_qos(controller);
         if let Some(context) = &engine.failed {
             // Registering on a failed shard yields a dead-on-arrival session
             // whose first submit reports the failure instead of queueing.
@@ -452,13 +433,7 @@ impl Scheduler {
     /// aggregate [`Scheduler::join`] returns, computed without shutting the
     /// engine down.
     pub fn telemetry_snapshot(&self) -> AggregateTelemetry {
-        let engine = self.shared.lock();
-        let mut aggregate = AggregateTelemetry::default();
-        for (index, session) in engine.sessions.iter().enumerate() {
-            aggregate.absorb_named(&session.telemetry, &session_name(&session.label, index));
-        }
-        aggregate.wall_seconds = self.started.elapsed().as_secs_f64();
-        aggregate
+        self.shared.telemetry_snapshot()
     }
 
     /// Stops accepting submissions, drains every inbox, joins the worker
@@ -472,7 +447,7 @@ impl Scheduler {
         for handle in self.workers.drain(..) {
             handle.join().expect("runtime worker panicked");
         }
-        let wall_seconds = self.started.elapsed().as_secs_f64();
+        let wall_seconds = self.shared.started.elapsed().as_secs_f64();
         let mut engine = self.shared.lock();
         let sessions: Vec<SessionReport> = engine
             .sessions
@@ -494,11 +469,10 @@ impl Scheduler {
             })
             .collect();
         drop(engine);
-        let mut aggregate = AggregateTelemetry::default();
-        for (index, session) in sessions.iter().enumerate() {
-            aggregate.absorb_named(&session.telemetry, &session_name(&session.label, index));
-        }
-        aggregate.wall_seconds = wall_seconds;
+        let aggregate = fold_sessions(
+            sessions.iter().map(|s| (&s.telemetry, &s.label)),
+            wall_seconds,
+        );
         RuntimeReport {
             sessions,
             aggregate,
@@ -519,7 +493,6 @@ impl Scheduler {
     pub fn observer(&self) -> SchedulerObserver {
         SchedulerObserver {
             shared: Arc::clone(&self.shared),
-            started: self.started,
         }
     }
 }
@@ -529,7 +502,6 @@ impl Scheduler {
 #[derive(Debug, Clone)]
 pub struct SchedulerObserver {
     shared: Arc<Shared>,
-    started: Instant,
 }
 
 impl SchedulerObserver {
@@ -547,13 +519,7 @@ impl SchedulerObserver {
     /// A live fold of every session's telemetry, identical to
     /// [`Scheduler::telemetry_snapshot`].
     pub fn telemetry_snapshot(&self) -> AggregateTelemetry {
-        let engine = self.shared.lock();
-        let mut aggregate = AggregateTelemetry::default();
-        for (index, session) in engine.sessions.iter().enumerate() {
-            aggregate.absorb_named(&session.telemetry, &session_name(&session.label, index));
-        }
-        aggregate.wall_seconds = self.started.elapsed().as_secs_f64();
-        aggregate
+        self.shared.telemetry_snapshot()
     }
 
     /// Appends every session's captured frame traces to a Chrome trace
@@ -735,7 +701,7 @@ impl SessionHandle {
     /// pool: the plane of an already-processed frame when one of the right
     /// size is available (contents unspecified — overwrite every pixel), a
     /// fresh zeroed image otherwise.  Submitting recycled frames closes the
-    /// ingest allocation loop under steady-state streaming.
+    /// producer's allocation loop under steady-state streaming.
     pub fn recycled_frame(&self, width: usize, height: usize) -> Image {
         let data = self
             .shared
@@ -747,10 +713,22 @@ impl SessionHandle {
     }
 }
 
-/// The session name used in per-session exports: the registration label, or
-/// the dense `session-{index}` fallback.
-fn session_name(label: &Option<String>, index: usize) -> String {
-    label.clone().unwrap_or_else(|| format!("session-{index}"))
+/// Folds every session's telemetry into one aggregate, naming each session
+/// in per-session exports by its registration label, or the dense
+/// `session-{index}` fallback.
+fn fold_sessions<'a>(
+    sessions: impl Iterator<Item = (&'a SessionTelemetry, &'a Option<String>)>,
+    wall_seconds: f64,
+) -> AggregateTelemetry {
+    let mut aggregate = AggregateTelemetry::default();
+    for (index, (telemetry, label)) in sessions.enumerate() {
+        match label {
+            Some(label) => aggregate.absorb_named(telemetry, label),
+            None => aggregate.absorb_named(telemetry, &format!("session-{index}")),
+        }
+    }
+    aggregate.wall_seconds = wall_seconds;
+    aggregate
 }
 
 /// Body of one worker thread: dispatch round-robin, step the frame outside
@@ -812,7 +790,7 @@ fn worker_loop(shared: &Shared) {
             // Both planes of the stepped frame are recycled into the
             // scheduler-wide pool that producers drain through
             // `SessionHandle::recycled_frame`: a producer that checks out
-            // two planes per frame gets both back, so the ingest loop runs
+            // two planes per frame gets both back, so the producer loop runs
             // without fresh allocations.  The one steady-state allocation
             // left in the engine is the retained result map itself (results
             // accumulate until `join`, so their planes cannot be reused).

@@ -35,7 +35,7 @@ pub fn serve_sequences(
     let handles: Vec<_> = sequences
         .iter()
         .enumerate()
-        .map(|(i, _)| scheduler.add_session_labeled(pipeline.state(), Some(format!("stream-{i}"))))
+        .map(|(i, _)| scheduler.add_session(pipeline.state(), Some(format!("stream-{i}")), None))
         .collect();
     std::thread::scope(|scope| {
         for (sequence, handle) in sequences.iter().zip(&handles) {

@@ -16,7 +16,7 @@
 //! session's submit reports (or proactively via [`Supervisor::check`]), it
 //!
 //! 1. asks the cluster for a new home via the *failure-aware* consistent
-//!    hash walk ([`crate::Cluster::add_session_live`]), so re-placement is
+//!    hash walk ([`crate::Cluster::add_session`]), so re-placement is
 //!    deterministic and skips every failed shard;
 //! 2. registers the session there with a **fresh** [`IsmState`] from the
 //!    supervisor's state factory — the next frame is necessarily a key
@@ -35,8 +35,8 @@
 //! down under seeded fault injection.
 
 use crate::cluster::{Cluster, ClusterSessionHandle};
-use crate::ingest::{Ingest, IngestConfig, IngestStats, RouteHandle};
 use crate::net::FrameSink;
+use crate::scheduler::SessionHandle;
 use asv::ism::IsmState;
 use asv::AsvError;
 use asv_image::Image;
@@ -75,34 +75,19 @@ pub struct MigrationRecord {
     pub to: usize,
 }
 
-/// One supervised session: its current cluster placement and, in ingest
-/// mode, the front-end route feeding it.
-#[derive(Debug, Clone)]
-struct Entry {
-    handle: ClusterSessionHandle,
-    route: Option<RouteHandle>,
-}
-
 /// The shard-failure supervisor: routes frames to their sessions' shards
 /// and reacts to [`AsvError::ShardDown`] by re-placing the session on a
 /// surviving shard with a fresh (re-keyed) state.
 ///
-/// Two delivery modes:
-///
-/// * [`Supervisor::new`] submits straight into the shard schedulers —
-///   synchronous backpressure, synchronous failure detection (the mode the
-///   deterministic failover sim uses);
-/// * [`Supervisor::with_ingest`] routes through an owned [`Ingest`]
-///   front-end — producers decouple from shard backpressure, failures are
-///   detected on the next submit after a forwarder hits the dead shard.
-///
-/// The supervisor is the natural [`FrameSink`] for a [`crate::FrameServer`]:
-/// frames arriving over TCP land on live shards even while shards die.
+/// Frames are submitted straight into the shard schedulers, so
+/// backpressure and failure detection are both synchronous (the
+/// deterministic failover sim relies on this).  The supervisor is the
+/// natural [`FrameSink`] for a [`crate::FrameServer`]: frames arriving over
+/// TCP land on live shards even while shards die.
 pub struct Supervisor {
     cluster: Arc<Cluster>,
     make_state: StateFactory,
-    ingest: Option<Ingest>,
-    sessions: Mutex<HashMap<String, Entry>>,
+    sessions: Mutex<HashMap<String, ClusterSessionHandle>>,
     migrations: Mutex<Vec<MigrationRecord>>,
 }
 
@@ -110,14 +95,14 @@ impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("cluster", &self.cluster)
-            .field("ingest", &self.ingest)
             .field("migrations", &self.migrations)
             .finish_non_exhaustive()
     }
 }
 
 impl Supervisor {
-    /// A supervisor submitting straight into the shard schedulers.
+    /// A supervisor over `cluster`, building each session's fresh state with
+    /// `make_state`.
     pub fn new(
         cluster: Arc<Cluster>,
         make_state: impl Fn(&str) -> IsmState + Send + Sync + 'static,
@@ -125,51 +110,35 @@ impl Supervisor {
         Self {
             cluster,
             make_state: Box::new(make_state),
-            ingest: None,
             sessions: Mutex::new(HashMap::new()),
             migrations: Mutex::new(Vec::new()),
         }
     }
 
-    /// A supervisor routing every frame through an owned [`Ingest`]
-    /// front-end (admission control + forwarder threads) before the shards.
-    pub fn with_ingest(
-        cluster: Arc<Cluster>,
-        config: IngestConfig,
-        make_state: impl Fn(&str) -> IsmState + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            ingest: Some(Ingest::new(config)),
-            ..Self::new(cluster, make_state)
-        }
-    }
-
-    fn lock_sessions(&self) -> MutexGuard<'_, HashMap<String, Entry>> {
+    fn lock_sessions(&self) -> MutexGuard<'_, HashMap<String, ClusterSessionHandle>> {
         self.sessions
             .lock()
             .expect("supervisor session table lock poisoned")
     }
 
-    /// The session's current target, creating (and placing) it on first
-    /// use.
+    /// The session's current shard and handle, creating (and placing) the
+    /// session on first use.
     ///
     /// # Errors
     ///
     /// [`AsvError::ShardDown`] when a new session cannot be placed because
     /// every shard has failed.
-    fn target(&self, key: &str) -> Result<Entry, AsvError> {
+    fn target(&self, key: &str) -> Result<(usize, SessionHandle), AsvError> {
         let mut sessions = self.lock_sessions();
-        if let Some(entry) = sessions.get(key) {
-            return Ok(entry.clone()); // lint: alloc-ok(per-frame Entry clone: short key + Arc bumps, keeps the session lock narrow)
+        if !sessions.contains_key(key) {
+            let placed = self
+                .cluster
+                .add_session(key, (self.make_state)(key), None)?;
+            sessions.insert(key.to_owned(), placed); // lint: alloc-ok(once per new session)
         }
-        let handle = self.cluster.add_session_live(key, (self.make_state)(key))?;
-        let route = self
-            .ingest
-            .as_ref()
-            .map(|ingest| ingest.register(handle.handle().clone())); // lint: alloc-ok(once per new session)
-        let entry = Entry { handle, route };
-        sessions.insert(key.to_owned(), entry.clone()); // lint: alloc-ok(once per new session)
-        Ok(entry)
+        let placed = &sessions[key];
+        // lint: alloc-ok(SessionHandle clone is an Arc refcount bump, no heap alloc)
+        Ok((placed.shard(), placed.handle().clone()))
     }
 
     /// Re-places `key` away from failed shard `from`: fresh state (re-key),
@@ -178,18 +147,16 @@ impl Supervisor {
     /// existing placement instead of migrating twice.
     fn replace(&self, key: &str, from: usize) -> Result<usize, AsvError> {
         let mut sessions = self.lock_sessions();
-        if let Some(entry) = sessions.get(key) {
-            if entry.handle.shard() != from {
-                return Ok(entry.handle.shard());
+        if let Some(placed) = sessions.get(key) {
+            if placed.shard() != from {
+                return Ok(placed.shard());
             }
         }
-        let handle = self.cluster.add_session_live(key, (self.make_state)(key))?;
-        let to = handle.shard();
-        let route = self
-            .ingest
-            .as_ref()
-            .map(|ingest| ingest.register(handle.handle().clone())); // lint: alloc-ok(failover re-placement path)
-        sessions.insert(key.to_owned(), Entry { handle, route }); // lint: alloc-ok(failover re-placement path)
+        let placed = self
+            .cluster
+            .add_session(key, (self.make_state)(key), None)?;
+        let to = placed.shard();
+        sessions.insert(key.to_owned(), placed); // lint: alloc-ok(failover re-placement path)
         drop(sessions);
         self.cluster.record_migration(from);
         self.migrations
@@ -220,13 +187,9 @@ impl Supervisor {
         // Each failed attempt removes a shard from the live set, so one
         // attempt per shard (plus the first) always terminates.
         for _ in 0..=self.cluster.shard_count() {
-            let entry = self.target(key)?;
+            let (shard, handle) = self.target(key)?;
             let (left, right) = frame;
-            let outcome = match &entry.route {
-                Some(route) => route.submit_recoverable(left, right),
-                None => entry.handle.handle().submit_recoverable(left, right),
-            };
-            match outcome {
+            match handle.submit_recoverable(left, right) {
                 Ok(()) => {
                     return Ok(match migrated {
                         Some((from, to)) => Delivery::Migrated { from, to },
@@ -235,9 +198,8 @@ impl Supervisor {
                 }
                 Err((AsvError::ShardDown { .. }, left, right)) => {
                     frame = (left, right);
-                    let from = entry.handle.shard();
-                    let to = self.replace(key, from)?;
-                    migrated = Some((migrated.map_or(from, |(first, _)| first), to));
+                    let to = self.replace(key, shard)?;
+                    migrated = Some((migrated.map_or(shard, |(first, _)| first), to));
                 }
                 Err((error, _, _)) => return Err(error),
             }
@@ -261,8 +223,8 @@ impl Supervisor {
             let sessions = self.lock_sessions();
             sessions
                 .iter()
-                .filter(|(_, entry)| self.cluster.shard_is_failed(entry.handle.shard()))
-                .map(|(key, entry)| (key.clone(), entry.handle.shard()))
+                .filter(|(_, placed)| self.cluster.shard_is_failed(placed.shard()))
+                .map(|(key, placed)| (key.clone(), placed.shard()))
                 .collect()
         };
         let moved = stranded.len();
@@ -274,7 +236,9 @@ impl Supervisor {
 
     /// The shard currently serving `key`, if the session exists.
     pub fn session_shard(&self, key: &str) -> Option<usize> {
-        self.lock_sessions().get(key).map(|e| e.handle.shard())
+        self.lock_sessions()
+            .get(key)
+            .map(ClusterSessionHandle::shard)
     }
 
     /// Every migration performed so far, in order.
@@ -285,12 +249,10 @@ impl Supervisor {
             .clone()
     }
 
-    /// Shuts the supervisor down: drains and joins the owned ingest
-    /// front-end (if any) so every buffered frame reaches its shard, and
-    /// drops all session handles.  Call before joining the cluster.
-    pub fn finish(self) -> Option<IngestStats> {
+    /// Shuts the supervisor down, dropping all session handles.  Call
+    /// before joining the cluster.
+    pub fn finish(self) {
         self.lock_sessions().clear();
-        self.ingest.map(Ingest::join)
     }
 }
 
@@ -300,12 +262,12 @@ impl FrameSink for Supervisor {
     }
 
     fn recycled_frame(&self, key: &str, width: usize, height: usize) -> Image {
-        let entry = self.lock_sessions().get(key).cloned();
-        match entry {
-            Some(Entry {
-                route: Some(route), ..
-            }) => route.recycled_frame(width, height),
-            Some(Entry { handle, .. }) => handle.handle().recycled_frame(width, height),
+        let handle = self
+            .lock_sessions()
+            .get(key)
+            .map(|placed| placed.handle().clone());
+        match handle {
+            Some(handle) => handle.recycled_frame(width, height),
             None => Image::zeros(width, height),
         }
     }

@@ -3,12 +3,11 @@
 //! telemetry.
 
 use asv::ism::{IsmConfig, IsmPipeline};
+use asv::AsvError;
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
 use asv_image::Image;
 use asv_runtime::sim::{run_cluster_sim, session_key, SimConfig};
-use asv_runtime::{
-    Cluster, ClusterConfig, Ingest, IngestConfig, Placement, SchedulerConfig, ShedPolicy,
-};
+use asv_runtime::{Cluster, ClusterConfig, SchedulerConfig};
 use asv_stereo::block_matching::BlockMatchParams;
 
 fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
@@ -33,9 +32,8 @@ fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
 }
 
 /// The acceptance-criterion proof: for a seeded workload, a cluster of 1, 2
-/// and 4 shards (fronted by the async ingest layer) produces per-session
-/// disparity results byte-identical to a single scheduler and to batch
-/// `process_sequence`.
+/// and 4 shards produces per-session disparity results byte-identical to a
+/// single scheduler and to batch `process_sequence`.
 #[test]
 fn cluster_is_byte_identical_to_single_scheduler_and_batch() {
     let sim = SimConfig::small();
@@ -70,25 +68,36 @@ fn determinism_holds_under_a_second_seed_and_heavier_jitter() {
     );
 }
 
+/// The one placement path: every key keeps the shard the ring gives it, a
+/// tripped shard never receives a new session, and a cluster with no live
+/// shard refuses placement.
 #[test]
-fn pinned_placement_is_honored_and_bounds_checked() {
+fn placement_keeps_keys_skips_failed_shards_and_fails_when_none_survive() {
     let pipe = pipeline(32, 24, 2);
     let cluster = Cluster::new(
-        ClusterConfig::new(3).with_shard_config(SchedulerConfig::per_core().with_workers(0)),
+        ClusterConfig::new(4).with_shard_config(SchedulerConfig::per_core().with_workers(0)),
     );
-    for shard in 0..3 {
-        let placed = cluster
-            .add_session_with(Placement::Pinned(shard), "pinned", pipe.state())
-            .expect("in range");
-        assert_eq!(placed.shard(), shard);
-        assert_eq!(placed.key(), "pinned");
+    let place = |key: &str| cluster.add_session(key, pipe.state(), None);
+    let keys: Vec<String> = (0..8).map(|i| format!("camera-{i}")).collect();
+    let home: Vec<usize> = keys.iter().map(|key| place(key).unwrap().shard()).collect();
+    // Pinned: any change to the ring or the key hash moves these keys.
+    assert_eq!(home, [1, 3, 3, 0, 1, 2, 3, 3]);
+
+    for dead in 0..3 {
+        cluster.trip_shard(dead, "test kill");
+        for (key, &home) in keys.iter().zip(&home) {
+            let shard = place(key).unwrap().shard();
+            assert!(shard > dead, "{key} placed on tripped shard {shard}");
+            if home > dead {
+                assert_eq!(shard, home, "{key} left its live shard");
+            }
+        }
     }
-    let err = cluster
-        .add_session_with(Placement::Pinned(3), "oob", pipe.state())
-        .unwrap_err();
+    cluster.trip_shard(3, "test kill");
+    let err = place("camera-0").unwrap_err();
     assert!(
-        matches!(err, asv::AsvError::Config { .. }),
-        "out-of-range pin must be a config error: {err:?}"
+        matches!(err, AsvError::ShardDown { .. }),
+        "no live shard must be ShardDown: {err:?}"
     );
 }
 
@@ -105,26 +114,24 @@ fn saturated_shard_falls_back_to_least_loaded() {
         ),
     );
     let key = "hot-camera";
-    let hashed = cluster.shard_for_key(key);
-    let first = cluster.add_session(key, pipe.state());
+    let hashed = cluster.live_shard_for_key(key).unwrap();
+    let first = cluster.add_session(key, pipe.state(), None).unwrap();
     assert_eq!(first.shard(), hashed, "unsaturated: hashed placement wins");
+    assert_eq!(first.key(), key);
     // Fill the hashed shard's only session's only inbox slot.
     first
         .submit(Image::zeros(32, 24), Image::zeros(32, 24))
         .unwrap();
 
-    let second = cluster.add_session(key, pipe.state());
+    let second = cluster.add_session(key, pipe.state(), None).unwrap();
     assert_eq!(
         second.shard(),
         1 - hashed,
         "saturated hashed shard must fall back to the least-loaded shard"
     );
-    // Explicit least-loaded placement also avoids the saturated shard.
-    let third = cluster
-        .add_session_with(Placement::LeastLoaded, "third", pipe.state())
-        .unwrap();
+    // Whichever shard a new key hashes to, it lands off the saturated one.
+    let third = cluster.add_session("third", pipe.state(), None).unwrap();
     assert_eq!(third.shard(), 1 - hashed);
-    assert_eq!(cluster.least_loaded_shard(), 1 - hashed);
 }
 
 #[test]
@@ -135,45 +142,36 @@ fn cluster_report_merges_cross_shard_telemetry() {
         .with_workers(2)
         .with_inbox_capacity(2);
     let cluster = Cluster::new(ClusterConfig::new(2).with_shard_config(shard_config));
-    let ingest = Ingest::new(IngestConfig::default().with_policy(ShedPolicy::Block));
     let streams = asv_runtime::sim::generate_streams(&sim);
-    let routes: Vec<_> = (0..sim.sessions)
+    let sessions: Vec<_> = (0..sim.sessions)
         .map(|i| {
-            ingest.register(
-                cluster
-                    .add_session(&session_key(i), pipe.state())
-                    .handle()
-                    .clone(),
-            )
+            cluster
+                .add_session(&session_key(i), pipe.state(), None)
+                .unwrap()
         })
         .collect();
     std::thread::scope(|scope| {
-        for (route, stream) in routes.iter().zip(&streams) {
-            let route = route.clone();
+        for (session, stream) in sessions.iter().zip(&streams) {
             scope.spawn(move || {
                 for frame in stream.frames() {
-                    route
+                    session
                         .submit(frame.left.clone(), frame.right.clone())
                         .unwrap();
                 }
             });
         }
     });
-    let stats = ingest.join();
-    assert_eq!(
-        stats.accepted(),
-        (sim.sessions * sim.frames_per_session) as u64
-    );
-    assert_eq!(stats.forwarded(), stats.accepted());
-    assert_eq!(stats.shed(), 0);
 
     let report = cluster.join();
+    // Every frame sent entered its session's inbox, and none was shed or
+    // dropped there.
+    let sent = (sim.sessions * sim.frames_per_session) as u64;
+    assert_eq!(report.aggregate.frames_submitted, sent);
+    assert_eq!(report.aggregate.frames_shed, 0);
+    assert_eq!(report.aggregate.frames_dropped, 0);
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.aggregate.sessions, sim.sessions);
-    assert_eq!(
-        report.aggregate.frames_processed,
-        (sim.sessions * sim.frames_per_session) as u64
-    );
+    assert_eq!(report.aggregate.frames_processed, sent);
     let by_shard: u64 = report
         .shards
         .iter()
@@ -212,7 +210,7 @@ fn live_telemetry_snapshot_does_not_disturb_serving() {
                 .with_inbox_capacity(2),
         ),
     );
-    let session = cluster.add_session("probe", pipe.state());
+    let session = cluster.add_session("probe", pipe.state(), None).unwrap();
     let stream = asv_runtime::sim::generate_streams(&sim);
     for frame in stream[0].frames() {
         session

@@ -141,8 +141,8 @@ fn telemetry_reports_latencies_and_key_frame_schedule() {
 fn a_failing_frame_poisons_only_its_session() {
     let pipe = pipeline(2);
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(2));
-    let good = scheduler.add_session(pipe.state());
-    let bad = scheduler.add_session(pipe.state());
+    let good = scheduler.add_session(pipe.state(), None, None);
+    let bad = scheduler.add_session(pipe.state(), None, None);
 
     // A mismatched stereo pair makes the key-frame estimator fail.
     bad.submit(Image::zeros(WIDTH, HEIGHT), Image::zeros(WIDTH / 2, HEIGHT))
@@ -181,7 +181,7 @@ fn a_failing_frame_poisons_only_its_session() {
 fn submissions_after_join_are_rejected() {
     let pipe = pipeline(2);
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(1));
-    let handle = scheduler.add_session(pipe.state());
+    let handle = scheduler.add_session(pipe.state(), None, None);
     assert_eq!(scheduler.session_count(), 1);
     let report = scheduler.join();
     assert_eq!(report.sessions.len(), 1);
@@ -195,7 +195,7 @@ fn submissions_after_join_are_rejected() {
 fn processed_frame_planes_recycle_back_to_producers() {
     let pipe = pipeline(2);
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(1));
-    let handle = scheduler.add_session(pipe.state());
+    let handle = scheduler.add_session(pipe.state(), None, None);
     // Submit frames with a marker value; the kernels never mutate their
     // inputs, so a recycled (stale-content) plane still carries it.
     for _ in 0..3 {
@@ -243,7 +243,7 @@ fn idle_sessions_can_trim_their_workspace() {
     let pipe = pipeline(2);
     let seq = sequence(91, 3);
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(1));
-    let handle = scheduler.add_session(pipe.state());
+    let handle = scheduler.add_session(pipe.state(), None, None);
     for frame in seq.frames() {
         handle
             .submit(frame.left.clone(), frame.right.clone())
@@ -277,8 +277,10 @@ fn per_session_metric_override_matches_a_census_batch_pipeline() {
     let stream = sequence(77, 5);
 
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(2));
-    let census_session = scheduler.add_session_with_metric(sad.state(), CostMetric::Census);
-    let sad_session = scheduler.add_session(sad.state());
+    let mut census_state = sad.state();
+    census_state.set_cost_metric(CostMetric::Census);
+    let census_session = scheduler.add_session(census_state, None, None);
+    let sad_session = scheduler.add_session(sad.state(), None, None);
     for frame in stream.frames() {
         census_session
             .submit(frame.left.clone(), frame.right.clone())

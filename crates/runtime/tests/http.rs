@@ -61,7 +61,7 @@ fn live_endpoint_serves_metrics_trace_and_health() {
         })
         .collect();
     let handles: Vec<_> = (0..streams.len())
-        .map(|i| scheduler.add_session_labeled(pipe.state(), Some(format!("camera-{i}"))))
+        .map(|i| scheduler.add_session(pipe.state(), Some(format!("camera-{i}")), None))
         .collect();
 
     let observer = scheduler.observer();

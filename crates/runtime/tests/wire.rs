@@ -19,9 +19,37 @@ use asv_mem::alloc_count::{self, CountingAllocator};
 use asv_mem::BufferPool;
 use asv_runtime::wire::{self, HEADER_BYTES, MAX_MESSAGE_BYTES};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
+
+/// The counting allocator sees the whole process, so a test measuring an
+/// allocation window must not overlap any other test of this binary: every
+/// test holds this lock for its whole body (a property test for each case,
+/// whose inputs are drawn without allocating).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; the others must still run.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns once no thread has allocated for 10 ms (giving up after 5 s);
+/// call it, holding [`serial`], right before opening a measured window.
+/// The harness's own work for the test that last released the lock
+/// (reporting its result, spawning the next test thread) runs outside
+/// every test body.
+fn settle() {
+    for _ in 0..500 {
+        let before = alloc_count::allocations();
+        std::thread::sleep(Duration::from_millis(10));
+        if alloc_count::allocations() == before {
+            return;
+        }
+    }
+}
 
 /// A deterministic non-trivial test plane: every pixel distinct.
 fn plane(width: usize, height: usize, salt: f32) -> Image {
@@ -48,6 +76,7 @@ fn wire_fault(error: AsvError) -> WireFault {
 
 #[test]
 fn round_trip_preserves_every_field() {
+    let _serial = serial();
     let left = plane(13, 7, 0.0);
     let right = plane(13, 7, 500.0);
     let mut bytes = Vec::new();
@@ -62,6 +91,7 @@ fn round_trip_preserves_every_field() {
 
 #[test]
 fn truncation_at_every_boundary_is_rejected() {
+    let _serial = serial();
     let bytes = encoded("cam", 5, 6, 4);
     for cut in 0..bytes.len() {
         let fault = wire_fault(
@@ -77,6 +107,7 @@ fn truncation_at_every_boundary_is_rejected() {
 
 #[test]
 fn every_single_byte_corruption_is_rejected() {
+    let _serial = serial();
     let bytes = encoded("cam", 9, 5, 3);
     for at in 0..bytes.len() {
         let mut mangled = bytes.clone();
@@ -93,6 +124,7 @@ fn every_single_byte_corruption_is_rejected() {
 
 #[test]
 fn oversized_length_prefix_is_rejected_before_reading_further() {
+    let _serial = serial();
     let mut bytes = encoded("cam", 0, 4, 4);
     let huge = (MAX_MESSAGE_BYTES as u32) + 1;
     bytes[..4].copy_from_slice(&huge.to_le_bytes());
@@ -102,6 +134,7 @@ fn oversized_length_prefix_is_rejected_before_reading_further() {
 
 #[test]
 fn version_mismatch_is_rejected() {
+    let _serial = serial();
     let mut bytes = encoded("cam", 0, 4, 4);
     bytes[8..10].copy_from_slice(&(wire::VERSION + 1).to_le_bytes());
     // Re-stamp the CRC so the version check (which runs first) is what fires.
@@ -112,6 +145,7 @@ fn version_mismatch_is_rejected() {
 
 #[test]
 fn bad_magic_is_rejected() {
+    let _serial = serial();
     let mut bytes = encoded("cam", 0, 4, 4);
     bytes[4..8].copy_from_slice(b"HTTP");
     restamp_crc(&mut bytes);
@@ -121,6 +155,7 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn payload_corruption_is_caught_by_the_crc() {
+    let _serial = serial();
     let mut bytes = encoded("cam", 0, 4, 4);
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
@@ -130,6 +165,7 @@ fn payload_corruption_is_caught_by_the_crc() {
 
 #[test]
 fn hello_round_trips_and_is_not_a_frame() {
+    let _serial = serial();
     let mut bytes = Vec::new();
     wire::encode_hello_into(&mut bytes, "cam-1/front").unwrap();
     match wire::validate_message(&bytes, MAX_MESSAGE_BYTES).unwrap() {
@@ -147,6 +183,7 @@ fn hello_round_trips_and_is_not_a_frame() {
 
 #[test]
 fn oversized_session_key_is_rejected_at_both_ends() {
+    let _serial = serial();
     let key = "k".repeat(wire::MAX_KEY_BYTES + 1);
     let left = plane(4, 4, 0.0);
     let right = plane(4, 4, 1.0);
@@ -183,6 +220,7 @@ fn oversized_session_key_is_rejected_at_both_ends() {
 
 #[test]
 fn non_utf8_key_is_rejected() {
+    let _serial = serial();
     let mut bytes = encoded("abc", 0, 4, 4);
     bytes[HEADER_BYTES] = 0xFF;
     bytes[HEADER_BYTES + 1] = 0xFE;
@@ -234,6 +272,7 @@ fn restamp_crc(bytes: &mut [u8]) {
 /// encode → validate → decode cycle runs with zero heap allocations.
 #[test]
 fn warm_pool_decode_performs_zero_allocations() {
+    let _serial = serial();
     let width = 32;
     let height = 24;
     let left = plane(width, height, 0.0);
@@ -248,6 +287,7 @@ fn warm_pool_decode_performs_zero_allocations() {
     pool.put(warm.left.into_vec());
     pool.put(warm.right.into_vec());
 
+    settle();
     let before = alloc_count::allocations();
     for seq in 1..=16u64 {
         wire::encode_frame_into(&mut bytes, "warm", seq, &left, &right).unwrap();
@@ -267,6 +307,7 @@ fn warm_pool_decode_performs_zero_allocations() {
 /// likewise allocation-free, and refuses mis-sized targets.
 #[test]
 fn fill_planes_reuses_caller_images_without_allocating() {
+    let _serial = serial();
     let left = plane(16, 12, 0.0);
     let right = plane(16, 12, 99.0);
     let mut bytes = Vec::new();
@@ -274,6 +315,7 @@ fn fill_planes_reuses_caller_images_without_allocating() {
 
     let mut dst_left = Image::zeros(16, 12);
     let mut dst_right = Image::zeros(16, 12);
+    settle();
     let before = alloc_count::allocations();
     let frame = wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap();
     frame.fill_planes(&mut dst_left, &mut dst_right).unwrap();
@@ -300,6 +342,7 @@ proptest! {
         key_salt in 0usize..64,
         pixel_salt in -1000.0f32..1000.0,
     ) {
+        let _serial = serial();
         let key = format!("session-{key_salt}");
         let left = plane(width, height, pixel_salt);
         let right = plane(width, height, -pixel_salt);
@@ -321,6 +364,7 @@ proptest! {
         at_fraction in 0.0f64..1.0,
         mask in 1u32..256,
     ) {
+        let _serial = serial();
         let bytes = encoded("fuzz", 11, 6, 5);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let at = ((bytes.len() as f64 - 1.0) * at_fraction) as usize;
