@@ -4,8 +4,9 @@
 //! allocate — for the branches they execute.  This pass covers the rest:
 //! it walks the call graph from the hot-path roots (`IsmState::step_with`,
 //! every `FrameSink::deliver` impl, `SequenceGate::admit`,
-//! `wire::validate_message`) and flags allocating constructs anywhere in
-//! the reachable set, including error and cold branches no test drives.
+//! `wire::validate_message`, and `net::receive_message`, the server's step
+//! for every networked message) and flags allocating constructs anywhere
+//! in the reachable set, including error and cold branches no test drives.
 //!
 //! A finding is silenced by `// lint: alloc-ok(<reason>)` on the line or
 //! in the comment block above it — the reason is the point: "pool miss,

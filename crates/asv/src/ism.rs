@@ -291,14 +291,13 @@ impl IsmState {
                     .previous
                     .as_ref()
                     .expect("non-key frames always have a predecessor");
-                let flow_started = Instant::now();
-                farneback_flow_with(&mut ws.flow_left, prev_left, left, &self.config.flow)?;
-                ws.flow_left.timings.record(
+                view_flow(
+                    &mut ws.flow_left,
+                    prev_left,
+                    left,
+                    &self.config.flow,
                     Stage::FlowLeft,
-                    flow_started,
-                    flow_started.elapsed(),
-                    0,
-                );
+                )?;
                 ws.tracer.harvest(&ws.flow_left.timings);
                 let flow = ws.flow_left.flow();
                 let median_u = flow.median_u_with(&mut ws.median_scratch);
@@ -421,11 +420,13 @@ fn propagate_and_refine_into(
     // independent, so the parallel build computes them concurrently unless
     // the left one is already available).
     if have_left_flow {
-        let flow_started = Instant::now();
-        farneback_flow_with(&mut ws.flow_right, prev_right, right, &config.flow)?;
-        ws.flow_right
-            .timings
-            .record(Stage::FlowRight, flow_started, flow_started.elapsed(), 0);
+        view_flow(
+            &mut ws.flow_right,
+            prev_right,
+            right,
+            &config.flow,
+            Stage::FlowRight,
+        )?;
         ws.tracer.harvest(&ws.flow_right.timings);
     } else {
         left_right_flows_with(
@@ -494,22 +495,8 @@ fn left_right_flows_with(
     ws_right: &mut FlowWorkspace,
 ) -> Result<(), AsvError> {
     let (l, r) = rayon::join(
-        || {
-            let started = Instant::now();
-            let result = farneback_flow_with(ws_left, prev_left, left, &config.flow);
-            ws_left
-                .timings
-                .record(Stage::FlowLeft, started, started.elapsed(), 0);
-            result
-        },
-        || {
-            let started = Instant::now();
-            let result = farneback_flow_with(ws_right, prev_right, right, &config.flow);
-            ws_right
-                .timings
-                .record(Stage::FlowRight, started, started.elapsed(), 0);
-            result
-        },
+        || view_flow(ws_left, prev_left, left, &config.flow, Stage::FlowLeft),
+        || view_flow(ws_right, prev_right, right, &config.flow, Stage::FlowRight),
     );
     l?;
     r?;
@@ -528,16 +515,24 @@ fn left_right_flows_with(
     ws_left: &mut FlowWorkspace,
     ws_right: &mut FlowWorkspace,
 ) -> Result<(), AsvError> {
+    view_flow(ws_left, prev_left, left, &config.flow, Stage::FlowLeft)?;
+    view_flow(ws_right, prev_right, right, &config.flow, Stage::FlowRight)
+}
+
+/// Estimates one view's flow from `prev` to `next` into `ws` and stages the
+/// call's span as `stage` in `ws.timings`, for the caller to harvest.  The
+/// span is recorded after the call returns because
+/// [`farneback_flow_with`] clears `ws.timings` on entry.
+fn view_flow(
+    ws: &mut FlowWorkspace,
+    prev: &Image,
+    next: &Image,
+    params: &FarnebackParams,
+    stage: Stage,
+) -> Result<(), AsvError> {
     let started = Instant::now();
-    farneback_flow_with(ws_left, prev_left, left, &config.flow)?;
-    ws_left
-        .timings
-        .record(Stage::FlowLeft, started, started.elapsed(), 0);
-    let started = Instant::now();
-    farneback_flow_with(ws_right, prev_right, right, &config.flow)?;
-    ws_right
-        .timings
-        .record(Stage::FlowRight, started, started.elapsed(), 0);
+    farneback_flow_with(ws, prev, next, params)?;
+    ws.timings.record(stage, started, started.elapsed(), 0);
     Ok(())
 }
 

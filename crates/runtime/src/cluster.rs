@@ -239,11 +239,6 @@ impl Cluster {
         }
     }
 
-    /// Whether `shard` has failed (tripped or poisoned).
-    pub fn shard_is_failed(&self, shard: usize) -> bool {
-        self.shards.get(shard).is_some_and(Scheduler::is_failed)
-    }
-
     /// Number of shards that have not failed.
     pub fn live_shard_count(&self) -> usize {
         self.observer.live_shard_count()

@@ -25,9 +25,11 @@
 //!   and a least-loaded fallback for saturated shards;
 //! * [`export`] — [`render_prometheus`]: the telemetry in Prometheus text
 //!   format, ready to serve from a `/metrics` endpoint;
-//! * [`sim`] — the deterministic simulation harness proving that an
-//!   `N`-shard cluster produces per-session results byte-identical to a
-//!   single scheduler and to batch processing.
+//! * [`sim`] — the deterministic scenario driver: seeded camera streams
+//!   cross a faulty link into the server's own receive step, on any shard
+//!   count and through a shard kill, and every session's output is proven
+//!   byte-identical to batch processing (from the re-key point for a
+//!   migrated session).
 //!
 //! Per-session output is byte-identical to batch processing: the scheduler
 //! never reorders a session's frames and both paths execute the same
@@ -103,11 +105,10 @@ pub use scheduler::{
 pub use serve::{serve_sequences, ServeOutcome};
 pub use session::{SessionId, SessionReport, StreamSession};
 pub use sim::{
-    run_chaos_transport_sim, run_failover_sim, run_overload_sim, ChaosConfig, ChaosReport,
-    CostModel, FailoverConfig, FailoverReport, OverloadConfig, OverloadReport,
-    OverloadSessionReport, SimConfig, SimReport, VirtualClock,
+    run_overload_sim, run_sim, CostModel, LinkFaults, OverloadConfig, OverloadReport,
+    OverloadSessionReport, ShardKill, SimConfig, SimReport,
 };
-pub use supervisor::{Delivery, MigrationRecord, Supervisor};
+pub use supervisor::{MigrationRecord, Supervisor};
 pub use telemetry::{
     AggregateTelemetry, LatencyHistogram, QosSessionSample, QueueDepthGauge, SessionTelemetry,
     StageTelemetry,

@@ -60,8 +60,8 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 /// (`ACK_EXPECTED`), the next sequence number the server expects.
 const ACK_MAGIC: u8 = b'K';
 const ACK_BYTES: usize = 10;
-const ACK_ACCEPTED: u8 = 0;
-const ACK_DUPLICATE: u8 = 1;
+pub(crate) const ACK_ACCEPTED: u8 = 0;
+pub(crate) const ACK_DUPLICATE: u8 = 1;
 const ACK_GAP: u8 = 2;
 const ACK_ERROR: u8 = 3;
 const ACK_EXPECTED: u8 = 4;
@@ -367,7 +367,7 @@ impl SequenceGate {
         let slot = {
             let map = lock(&self.inner);
             match map.sessions.get(key) {
-                Some(entry) => Arc::clone(&entry.slot),
+                Some(entry) => Arc::clone(&entry.slot), // lint: alloc-ok(Arc refcount bump, no heap alloc)
                 None => return 0,
             }
         };
@@ -690,6 +690,68 @@ impl Drop for FrameServer {
     }
 }
 
+/// The server's step for one complete message (length prefix included),
+/// shared by every connection: validate it, then answer a hello with the
+/// session's expected sequence or admit a frame through `gate` into
+/// recycled planes delivered to `sink`.  Returns the ack's status and value,
+/// or `None` — the fault already counted — when the message fails
+/// validation and the connection must close.
+pub(crate) fn receive_message(
+    message: &[u8],
+    sink: &dyn FrameSink,
+    gate: &SequenceGate,
+    counters: &TransportCounters,
+    max_message_bytes: usize,
+) -> Option<(u8, u64)> {
+    let parsed = match wire::validate_message(message, max_message_bytes) {
+        Ok(parsed) => parsed,
+        Err(AsvError::Wire { fault, .. }) => {
+            counters.record(TransportErrorKind::of_wire(fault));
+            return None;
+        }
+        Err(_) => {
+            counters.record(TransportErrorKind::Io);
+            return None;
+        }
+    };
+    match parsed {
+        // Session-resume hello: report the committed expected sequence so a
+        // restarted producer picks up where the session stands.
+        wire::Message::Hello { key } => Some((ACK_EXPECTED, gate.expected(key))),
+        wire::Message::Frame(frame) => {
+            // Admission and delivery run under the session's slot lock:
+            // racing connections serialize, and the sequence advances only
+            // once the sink has accepted the frame.  Delivery may block —
+            // that is the backpressure path, and the client's unsent frames
+            // queue in the TCP window.
+            let admit = gate.admit(frame.key, frame.seq, || {
+                let mut left = sink.recycled_frame(frame.key, frame.width, frame.height);
+                let mut right = sink.recycled_frame(frame.key, frame.width, frame.height);
+                match frame.fill_planes(&mut left, &mut right) {
+                    Ok(()) => sink
+                        .deliver(frame.key, frame.seq, left, right)
+                        .map_err(|_| ()),
+                    Err(AsvError::Wire { fault, .. }) => {
+                        counters.record(TransportErrorKind::of_wire(fault));
+                        Err(())
+                    }
+                    Err(_) => Err(()),
+                }
+            });
+            let status = match admit {
+                Admit::Delivered => ACK_ACCEPTED,
+                Admit::Failed => ACK_ERROR,
+                Admit::Duplicate => ACK_DUPLICATE,
+                Admit::Gap { .. } => {
+                    counters.record(TransportErrorKind::Gap);
+                    ACK_GAP
+                }
+            };
+            Some((status, frame.seq))
+        }
+    }
+}
+
 /// One connection's read-decode-deliver-ack loop.  Returns (closing the
 /// connection) on clean EOF, shutdown, any transport failure or any wire
 /// fault — the client reconnects and retransmits, and the sequence gate
@@ -736,52 +798,10 @@ fn handle_connection(
             }
             ReadOutcome::Data => {}
         }
-        let parsed = match wire::validate_message(&message, config.max_message_bytes) {
-            Ok(parsed) => parsed,
-            Err(AsvError::Wire { fault, .. }) => {
-                counters.record(TransportErrorKind::of_wire(fault));
-                return;
-            }
-            Err(_) => {
-                counters.record(TransportErrorKind::Io);
-                return;
-            }
-        };
-        let (status, value) = match parsed {
-            // Session-resume hello: report the committed expected sequence
-            // so a restarted producer picks up where the session stands.
-            wire::Message::Hello { key } => (ACK_EXPECTED, gate.expected(key)),
-            wire::Message::Frame(frame) => {
-                // Admission and delivery run under the session's slot lock:
-                // racing connections serialize, and the sequence advances
-                // only once the sink has accepted the frame.  Delivery may
-                // block — that is the backpressure path, and the client's
-                // unsent frames queue in the TCP window.
-                let admit = gate.admit(frame.key, frame.seq, || {
-                    let mut left = sink.recycled_frame(frame.key, frame.width, frame.height);
-                    let mut right = sink.recycled_frame(frame.key, frame.width, frame.height);
-                    match frame.fill_planes(&mut left, &mut right) {
-                        Ok(()) => sink
-                            .deliver(frame.key, frame.seq, left, right)
-                            .map_err(|_| ()),
-                        Err(AsvError::Wire { fault, .. }) => {
-                            counters.record(TransportErrorKind::of_wire(fault));
-                            Err(())
-                        }
-                        Err(_) => Err(()),
-                    }
-                });
-                let status = match admit {
-                    Admit::Delivered => ACK_ACCEPTED,
-                    Admit::Failed => ACK_ERROR,
-                    Admit::Duplicate => ACK_DUPLICATE,
-                    Admit::Gap { .. } => {
-                        counters.record(TransportErrorKind::Gap);
-                        ACK_GAP
-                    }
-                };
-                (status, frame.seq)
-            }
+        let Some((status, value)) =
+            receive_message(&message, sink, gate, counters, config.max_message_bytes)
+        else {
+            return;
         };
         let mut ack = [0u8; ACK_BYTES];
         ack[0] = ACK_MAGIC;

@@ -385,7 +385,7 @@ impl Scheduler {
     /// [`AsvError::ShardDown`], queued frames are dropped (and counted) and
     /// every future submit fails immediately.  Parked producers are woken so
     /// a lost shard never wedges a feeder.  This is both the fault-injection
-    /// entry point of the failover sim and what the runtime itself invokes
+    /// entry point of the sim's shard kill and what the runtime itself invokes
     /// when it detects a poisoned engine lock.
     pub fn trip(&self, context: impl std::fmt::Display) {
         let mut engine = self.shared.lock();

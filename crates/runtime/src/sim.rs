@@ -1,33 +1,36 @@
-//! Deterministic cluster simulation harness.
+//! Deterministic simulation of the serving stack.
 //!
 //! The runtime's core correctness claim is *determinism*: a frame's
 //! disparity map depends only on its session's frame history, never on how
-//! many shards, workers or queue hops served it.  This module turns that
-//! claim into an executable experiment:
+//! many shards, workers, queue hops or retransmissions served it, and after
+//! carried state is lost a fresh key frame restarts the stream.  This
+//! module turns that claim into an executable experiment:
 //!
 //! * a **seeded workload generator** ([`generate_streams`]) producing the
 //!   same synthetic camera streams for the same [`SimConfig::seed`];
-//! * **latency injection** — seeded per-frame submit jitter perturbs thread
-//!   interleavings (different every shard count, reproducible for a seed)
-//!   so the equality check is exercised under many real schedules, plus a
-//!   [`VirtualClock`] for building *exactly* reproducible latency telemetry
-//!   where wall time would be noise (the Prometheus golden test);
-//! * [`run_cluster_sim`] — the proof harness: for each requested shard
-//!   count it routes the workload through the full stack (cluster
-//!   placement → shard schedulers) and compares every session's results
-//!   byte-for-byte against batch
-//!   [`IsmPipeline::process_sequence`] and against a single
-//!   [`crate::Scheduler`].
+//! * [`run_sim`] — the one scenario driver.  Every session gets a feeder
+//!   thread that wire-encodes each frame and pushes it across a seeded
+//!   faulty link ([`LinkFaults`]) into the step a [`crate::FrameServer`]
+//!   runs per message: [`SequenceGate`] → [`Supervisor`] → [`Cluster`].
+//!   Seeded submit jitter perturbs the interleavings (a different one per
+//!   shard count, reproducible for a seed), and a [`ShardKill`] trips a
+//!   shard once every session has delivered the same number of frames.
+//!   Every session's output is compared byte for byte with batch
+//!   [`IsmPipeline::process_sequence`], and a migrated session's re-keyed
+//!   incarnation with a fresh state run from the kill point;
+//! * [`run_overload_sim`] — a virtual-time model of the scheduler that
+//!   exercises the QoS control loop over thousands of frames without
+//!   running the pipeline.
 //!
-//! CI runs this in both feature configurations; see
-//! `crates/runtime/tests/cluster.rs`.
+//! CI runs these in both feature configurations; see
+//! `crates/runtime/tests/{cluster,failover,qos}.rs`.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::net::{Admit, FrameSink, SequenceGate, TransportCounters, TransportErrorKind};
+use crate::net::{self, SequenceGate, TransportCounters};
 use crate::qos::{QosAction, QosConfig, QosController, QosKnobs, SessionSlo};
 use crate::scheduler::{SchedulerConfig, ShedPolicy};
-use crate::serve::serve_sequences;
-use crate::supervisor::{Delivery, MigrationRecord, Supervisor};
+use crate::session::SessionReport;
+use crate::supervisor::{MigrationRecord, Supervisor};
 use crate::wire;
 use asv::ism::{FrameResult, IsmPipeline, IsmResult, KeyFramePolicy};
 use asv::AsvError;
@@ -35,44 +38,11 @@ use asv::CostMetric;
 use asv_scene::{SceneConfig, StereoSequence};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// A deterministic logical clock, advancing only when told to.
-///
-/// Real `Instant`s make telemetry content non-reproducible; tests that need
-/// bit-stable histograms (e.g. the Prometheus golden test) drive one of
-/// these instead and inject the resulting durations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualClock {
-    now_us: u64,
-}
-
-impl VirtualClock {
-    /// A clock at logical time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current logical time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    /// Current logical time in seconds.
-    pub fn now_seconds(&self) -> f64 {
-        self.now_us as f64 / 1e6
-    }
-
-    /// Advances the clock by `us` microseconds and returns the elapsed
-    /// duration — the injectable stand-in for "this step took `us` µs".
-    pub fn advance_us(&mut self, us: u64) -> Duration {
-        self.now_us += us;
-        Duration::from_micros(us)
-    }
-}
-
-/// Parameters of one simulation run.
+/// Parameters of one [`run_sim`] scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Master seed: workload content and injected jitter both derive from
@@ -93,11 +63,17 @@ pub struct SimConfig {
     /// Upper bound of the injected per-frame submit jitter, microseconds
     /// (0 disables injection).
     pub submit_jitter_us: u64,
+    /// Scheduler shards in the cluster.
+    pub shards: usize,
+    /// Faults of the link between every feeder and the server.
+    pub link: LinkFaults,
+    /// The shard to kill mid-stream, if any.
+    pub kill: Option<ShardKill>,
 }
 
 impl SimConfig {
     /// A small configuration that keeps the full determinism sweep fast
-    /// enough for CI.
+    /// enough for CI: one shard, a clean link, no kill.
     pub fn small() -> Self {
         Self {
             seed: 0xA5F,
@@ -108,6 +84,9 @@ impl SimConfig {
             workers_per_shard: 2,
             inbox_capacity: 2,
             submit_jitter_us: 300,
+            shards: 1,
+            link: LinkFaults::clean(),
+            kill: None,
         }
     }
 
@@ -130,8 +109,73 @@ impl SimConfig {
     }
 }
 
-/// The routing key of simulated session `index` (shared by the harness and
-/// its tests).
+/// Per-mille fault rates of the simulated link, plus the retransmission
+/// budget.  Rates are rolled per delivery *attempt*, so a frame can be
+/// dropped, corrupted and reordered on successive tries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkFaults {
+    /// Seed of the fault roll (independent of the workload seed).
+    pub seed: u64,
+    /// Per-mille chance a message vanishes in flight.
+    pub drop_per_mille: u16,
+    /// Per-mille chance a message arrives with one byte flipped.
+    pub corrupt_per_mille: u16,
+    /// Per-mille chance a message arrives cut off mid-frame (the
+    /// half-written-frame-on-disconnect case).
+    pub truncate_per_mille: u16,
+    /// Per-mille chance a delivered message is delivered twice.
+    pub duplicate_per_mille: u16,
+    /// Per-mille chance the *next* frame arrives before this one (the
+    /// delayed/reordered-link case).
+    pub reorder_per_mille: u16,
+    /// Delivery attempts per frame before the link declares the session
+    /// wedged (the assertion the sim exists to keep false).
+    pub max_attempts: usize,
+}
+
+impl LinkFaults {
+    /// The CI scenario: every fault class well above real-link rates, with
+    /// a retransmission budget that makes loss of progress astronomically
+    /// unlikely while still bounding the sim.
+    pub fn ci() -> Self {
+        Self {
+            seed: 0xC4_05,
+            drop_per_mille: 150,
+            corrupt_per_mille: 100,
+            truncate_per_mille: 80,
+            duplicate_per_mille: 120,
+            reorder_per_mille: 120,
+            max_attempts: 64,
+        }
+    }
+
+    /// A lossless link: every fault rate zero.
+    pub fn clean() -> Self {
+        Self {
+            drop_per_mille: 0,
+            corrupt_per_mille: 0,
+            truncate_per_mille: 0,
+            duplicate_per_mille: 0,
+            reorder_per_mille: 0,
+            ..Self::ci()
+        }
+    }
+}
+
+/// A shard killed mid-stream ([`Cluster::trip_shard`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardKill {
+    /// The shard to kill; `None` kills the shard serving session 0 at the
+    /// kill point, which guarantees at least one migration.
+    pub victim: Option<usize>,
+    /// Frames every session delivers before the kill (raised to at least
+    /// 1; a kill at or past the last frame is skipped, since no frame is
+    /// left to observe it).
+    pub after: usize,
+}
+
+/// The routing key of simulated session `index` (shared by the sim and its
+/// tests).
 pub fn session_key(index: usize) -> String {
     format!("sim-cam-{index}")
 }
@@ -148,197 +192,384 @@ pub fn generate_streams(config: &SimConfig) -> Vec<StereoSequence> {
         .collect()
 }
 
-/// Outcome of one [`run_cluster_sim`] sweep.
-#[derive(Debug, Clone)]
+/// Outcome of one [`run_sim`] scenario.
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// The shard counts the cluster was exercised at.
-    pub shard_counts: Vec<usize>,
-    /// Sessions per run.
-    pub sessions: usize,
-    /// Individual frame results compared against the batch baseline.
+    /// Frames the server accepted exactly once.
+    pub frames_delivered: u64,
+    /// Messages the link dropped.
+    pub frames_dropped: u64,
+    /// Messages delivered with a flipped byte (all must be rejected).
+    pub frames_corrupted: u64,
+    /// Messages delivered cut off mid-frame (all must be rejected).
+    pub frames_truncated: u64,
+    /// Accepted messages the link delivered a second time (all must be
+    /// deduplicated).
+    pub frames_duplicated: u64,
+    /// Messages that arrived ahead of order (all must be refused as gaps).
+    pub frames_reordered: u64,
+    /// Sender retransmissions forced by unacknowledged deliveries.
+    pub retransmissions: u64,
+    /// Total faults counted by the transport counters (every injected
+    /// corruption/truncation/gap must appear here).
+    pub transport_errors: u64,
+    /// The shard the sim killed (`None` without a kill).
+    pub victim: Option<usize>,
+    /// Every re-placement the supervisor performed.
+    pub migrations: Vec<MigrationRecord>,
+    /// Per session: the frame whose delivery moved the session to another
+    /// shard, re-delivered there as the first (key) frame of the new
+    /// incarnation (`None` for sessions that never moved).
+    pub migration_frame: Vec<Option<usize>>,
+    /// Frames byte-compared against their references.
     pub frames_compared: u64,
-    /// Human-readable descriptions of every divergence found (empty on
-    /// success).
+    /// Human-readable descriptions of every divergence and every wedged
+    /// session (empty on success).
     pub mismatches: Vec<String>,
+    /// The final Prometheus scrape, containing the
+    /// `asv_sessions_migrated_total` / `asv_transport_errors_total`
+    /// families.
+    pub scrape: String,
 }
 
 impl SimReport {
-    /// Whether every compared frame was byte-identical to the batch
-    /// baseline.
+    /// Whether every compared frame was byte-identical to its reference
+    /// and no session wedged.
     pub fn is_deterministic(&self) -> bool {
         self.mismatches.is_empty()
     }
-}
 
-/// Compares one session's streamed frames against the batch baseline,
-/// recording any divergence.
-fn compare_session(
-    label: &str,
-    expected: &IsmResult,
-    actual: &[FrameResult],
-    frames_compared: &mut u64,
-    mismatches: &mut Vec<String>,
-) {
-    if expected.frames.len() != actual.len() {
-        mismatches.push(format!(
-            "{label}: {} frames, batch produced {}",
-            actual.len(),
-            expected.frames.len()
-        ));
-        return;
+    /// Adds one feeder's link tallies and mismatches.
+    fn absorb(&mut self, feeder: SimReport) {
+        self.frames_delivered += feeder.frames_delivered;
+        self.frames_dropped += feeder.frames_dropped;
+        self.frames_corrupted += feeder.frames_corrupted;
+        self.frames_truncated += feeder.frames_truncated;
+        self.frames_duplicated += feeder.frames_duplicated;
+        self.frames_reordered += feeder.frames_reordered;
+        self.retransmissions += feeder.retransmissions;
+        self.mismatches.extend(feeder.mismatches);
     }
-    compare_frames(label, &expected.frames, actual, frames_compared, mismatches);
-}
 
-/// Byte-compares streamed frames against reference frames position by
-/// position (the caller already aligned and length-checked the slices).
-fn compare_frames(
-    label: &str,
-    expected: &[FrameResult],
-    actual: &[FrameResult],
-    frames_compared: &mut u64,
-    mismatches: &mut Vec<String>,
-) {
-    for (frame, (e, a)) in expected.iter().zip(actual).enumerate() {
-        *frames_compared += 1;
-        if e.kind != a.kind {
-            mismatches.push(format!(
-                "{label} frame {frame}: kind {:?}, batch {:?}",
-                a.kind, e.kind
-            ));
+    /// Byte-compares one session incarnation against its reference frames.
+    /// A `prefix` incarnation (one that died with its shard) may hold only
+    /// the reference's first frames; any other must hold all of them and
+    /// no error.
+    fn compare(
+        &mut self,
+        label: &str,
+        reference: &[FrameResult],
+        actual: Option<&SessionReport>,
+        prefix: bool,
+    ) {
+        let Some(session) = actual else {
+            self.mismatches.push(format!("{label}: session missing"));
+            return;
+        };
+        if let (false, Some(error)) = (prefix, &session.error) {
+            self.mismatches
+                .push(format!("{label}: session failed: {error}"));
         }
-        if e.disparity != a.disparity {
-            mismatches.push(format!(
-                "{label} frame {frame}: disparity diverges from batch"
+        let frames = &session.frames;
+        if frames.len() > reference.len() || (!prefix && frames.len() != reference.len()) {
+            self.mismatches.push(format!(
+                "{label}: {} frames, expected {}",
+                frames.len(),
+                reference.len()
             ));
+            return;
+        }
+        for (frame, (e, a)) in reference.iter().zip(frames).enumerate() {
+            self.frames_compared += 1;
+            if e.kind != a.kind {
+                self.mismatches.push(format!(
+                    "{label} frame {frame}: kind {:?}, expected {:?}",
+                    a.kind, e.kind
+                ));
+            }
+            if e.disparity != a.disparity {
+                self.mismatches
+                    .push(format!("{label} frame {frame}: disparity diverges"));
+            }
         }
     }
 }
 
-/// Runs the determinism experiment: the seeded workload is processed (a) by
-/// batch [`IsmPipeline::process_sequence`], (b) by a single
-/// [`crate::Scheduler`], and (c) by a [`Cluster`] fed straight through its
-/// session handles at every shard count in `shard_counts`, with seeded
-/// submit jitter perturbing the interleavings.  Every per-session result is
-/// compared byte-for-byte against the batch baseline.
+/// The server side of the simulated link: the state one
+/// [`crate::FrameServer`] shares across its connections.
+struct Server {
+    gate: SequenceGate,
+    sink: Supervisor,
+    counters: Arc<TransportCounters>,
+}
+
+impl Server {
+    /// Runs one message through the server's own per-message step and
+    /// reports whether it was acknowledged as accepted or duplicate (a
+    /// rejected message is retransmitted by the sender).
+    fn receive(&self, message: &[u8]) -> Option<u8> {
+        net::receive_message(
+            message,
+            &self.sink,
+            &self.gate,
+            &self.counters,
+            wire::MAX_MESSAGE_BYTES,
+        )
+        .map(|(status, _)| status)
+        .filter(|&status| status == net::ACK_ACCEPTED || status == net::ACK_DUPLICATE)
+    }
+}
+
+/// Runs one seeded scenario down the networked serving path: each session's
+/// feeder thread wire-encodes its frames and pushes them across the
+/// [`SimConfig::link`] (drop/corrupt/truncate/duplicate/reorder, with
+/// at-least-once retransmission until each frame is acknowledged) into the
+/// server's per-message step — [`SequenceGate`] → [`Supervisor`] → a
+/// [`Cluster`] of [`SimConfig::shards`] lossless shards — under seeded
+/// submit jitter.  With a [`SimConfig::kill`], once every session has
+/// delivered `after` frames the victim shard is tripped and the supervisor
+/// must re-place and re-key its sessions.
+///
+/// Compared afterwards: an untouched session against batch
+/// [`IsmPipeline::process_sequence`]; a migrated session's dead incarnation
+/// against the batch prefix it processed, and its re-keyed incarnation
+/// against a fresh state run from frame `after`.
 ///
 /// # Errors
 ///
-/// Returns the first [`AsvError`] if any serving path fails outright
-/// (result *divergence* is not an error — it is recorded in
-/// [`SimReport::mismatches`]).
-pub fn run_cluster_sim(
-    pipeline: &IsmPipeline,
-    config: &SimConfig,
-    shard_counts: &[usize],
-) -> Result<SimReport, AsvError> {
+/// Returns the first [`AsvError`] of encoding or of computing the
+/// references (divergences, wedged sessions and rejected frames are
+/// recorded in [`SimReport::mismatches`], not returned).
+pub fn run_sim(pipeline: &IsmPipeline, config: &SimConfig) -> Result<SimReport, AsvError> {
     let streams = generate_streams(config);
-    let mut frames_compared = 0u64;
-    let mut mismatches = Vec::new();
-
-    // (a) The batch baseline: the ground truth everything must match.
     let batch: Vec<IsmResult> = streams
         .iter()
         .map(|s| pipeline.process_sequence(s))
         .collect::<Result<_, _>>()?;
+    let mut messages = Vec::with_capacity(streams.len());
+    for (i, stream) in streams.iter().enumerate() {
+        let key = session_key(i);
+        let mut pending = VecDeque::with_capacity(stream.len());
+        for (seq, frame) in stream.frames().iter().enumerate() {
+            let mut bytes = Vec::new();
+            wire::encode_frame_into(&mut bytes, &key, seq as u64, &frame.left, &frame.right)?;
+            pending.push_back((seq, bytes));
+        }
+        messages.push(pending);
+    }
 
-    // (b) A single scheduler (the PR-2 serving path).
+    // The shards run the lossless `Block` policy: determinism requires it.
     let shard_config = SchedulerConfig {
         workers: config.workers_per_shard.max(1),
         inbox_capacity: config.inbox_capacity,
         shed_policy: ShedPolicy::Block,
     };
-    let single = serve_sequences(pipeline, &streams, shard_config)?;
-    for (i, (expected, actual)) in batch.iter().zip(&single.results).enumerate() {
-        compare_session(
-            &format!("single-scheduler {}", session_key(i)),
-            expected,
-            &actual.frames,
-            &mut frames_compared,
-            &mut mismatches,
-        );
-    }
+    let cluster = Arc::new(Cluster::new(
+        ClusterConfig::new(config.shards).with_shard_config(shard_config),
+    ));
+    let state_pipeline = pipeline.clone();
+    let server = Server {
+        gate: SequenceGate::new(),
+        sink: Supervisor::new(Arc::clone(&cluster), move |_| state_pipeline.state()),
+        counters: cluster.transport_counters(),
+    };
+    let frames = config.frames_per_session;
+    let kill_at = config
+        .kill
+        .map(|kill| kill.after.max(1))
+        .filter(|&after| after < frames);
+    let barrier = Barrier::new(config.sessions + 1);
 
-    // (c) The full stack at every requested shard count.
-    for &shards in shard_counts {
-        // The shards run the lossless `Block` policy: determinism requires it.
-        let cluster = Cluster::new(ClusterConfig::new(shards).with_shard_config(shard_config));
-        let sessions: Vec<_> = (0..config.sessions)
-            .map(|i| cluster.add_session(&session_key(i), pipeline.state(), None))
-            .collect::<Result<_, _>>()?;
-
-        // Seeded jitter, distinct per shard count so each run explores a
-        // different (but reproducible) interleaving.
-        let mut rng = SmallRng::seed_from_u64(config.seed ^ (shards as u64).wrapping_mul(0x9E37));
-        let jitter: Vec<Vec<u64>> = (0..config.sessions)
-            .map(|_| {
-                (0..config.frames_per_session)
-                    .map(|_| {
-                        if config.submit_jitter_us == 0 {
-                            0
-                        } else {
-                            rng.gen_range(0..config.submit_jitter_us)
-                        }
-                    })
-                    .collect()
+    let mut report = SimReport::default();
+    std::thread::scope(|scope| {
+        let feeders: Vec<_> = messages
+            .into_iter()
+            .enumerate()
+            .map(|(i, pending)| {
+                let (server, barrier) = (&server, &barrier);
+                scope.spawn(move || feed(i, pending, config, kill_at, barrier, server))
             })
             .collect();
-
-        let feed_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (i, (session, stream)) in sessions.iter().zip(&streams).enumerate() {
-                let delays = &jitter[i];
-                let feed_errors = &feed_errors;
-                scope.spawn(move || {
-                    for (f, frame) in stream.frames().iter().enumerate() {
-                        if delays[f] > 0 {
-                            std::thread::sleep(Duration::from_micros(delays[f]));
-                        }
-                        if let Err(e) = session.submit(frame.left.clone(), frame.right.clone()) {
-                            feed_errors
-                                .lock()
-                                .expect("sim feed-error lock poisoned")
-                                .push(format!("{}: submit failed: {e}", session_key(i)));
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        let report = cluster.join();
-        mismatches.extend(
-            feed_errors
-                .into_inner()
-                .expect("sim feed-error lock poisoned"),
-        );
-
-        for (i, expected) in batch.iter().enumerate() {
-            let key = session_key(i);
-            let label = format!("{shards}-shard cluster {key}");
-            match report.session_by_key(&key) {
-                Some(session) => {
-                    if let Some(error) = &session.error {
-                        mismatches.push(format!("{label}: session failed: {error}"));
-                    }
-                    compare_session(
-                        &label,
-                        expected,
-                        &session.frames,
-                        &mut frames_compared,
-                        &mut mismatches,
-                    );
-                }
-                None => mismatches.push(format!("{label}: session missing from report")),
-            }
+        if kill_at.is_some() {
+            // Every session has delivered `after` frames.  Placement is
+            // lazy and may have taken the saturation fallback, so ask the
+            // supervisor where session 0 actually lives.
+            barrier.wait();
+            let victim = config
+                .kill
+                .and_then(|kill| kill.victim)
+                .or_else(|| server.sink.session_shard(&session_key(0)))
+                .unwrap_or(0);
+            cluster.trip_shard(victim, "sim kill");
+            report.victim = Some(victim);
+            barrier.wait();
         }
-    }
+        for feeder in feeders {
+            let (tally, migrated) = feeder.join().expect("sim feeder panicked");
+            report.absorb(tally);
+            report.migration_frame.push(migrated);
+        }
+    });
 
-    Ok(SimReport {
-        shard_counts: shard_counts.to_vec(),
-        sessions: config.sessions,
-        frames_compared,
-        mismatches,
-    })
+    report.transport_errors = server.counters.total();
+    report.migrations = server.sink.migrations();
+    server.sink.finish();
+    let cluster = Arc::try_unwrap(cluster).expect("supervisor retained a cluster handle");
+    let outcome = cluster.join();
+    report.scrape = outcome.render_prometheus();
+
+    let rekey = kill_at.unwrap_or(frames);
+    for (i, (stream, expected)) in streams.iter().zip(&batch).enumerate() {
+        let key = session_key(i);
+        let incarnation = |shard: usize| {
+            outcome
+                .shards
+                .get(shard)?
+                .sessions
+                .iter()
+                .find(|s| s.label.as_deref() == Some(&key))
+        };
+        let Some(moved) = report.migrations.iter().find(|m| m.key == key).cloned() else {
+            report.compare(&key, &expected.frames, outcome.session_by_key(&key), false);
+            continue;
+        };
+        // The dead incarnation processed at most the frames delivered
+        // before the kill; the re-keyed one starts from a key frame at the
+        // kill point.
+        report.compare(
+            &format!("{key} on dead shard {}", moved.from),
+            &expected.frames[..rekey],
+            incarnation(moved.from),
+            true,
+        );
+        let mut state = pipeline.state();
+        let suffix = stream.frames()[rekey..]
+            .iter()
+            .map(|frame| state.step(&frame.left, &frame.right))
+            .collect::<Result<Vec<_>, _>>()?;
+        report.compare(
+            &format!("{key} re-keyed on shard {}", moved.to),
+            &suffix,
+            incarnation(moved.to),
+            false,
+        );
+    }
+    Ok(report)
+}
+
+/// One session's feeder: sends every message across the faulty link until
+/// the server acknowledges it, waiting at the kill rendezvous before frame
+/// `kill_at`.  Returns the link tallies and the frame that moved the
+/// session to another shard.
+fn feed(
+    i: usize,
+    mut pending: VecDeque<(usize, Vec<u8>)>,
+    config: &SimConfig,
+    kill_at: Option<usize>,
+    barrier: &Barrier,
+    server: &Server,
+) -> (SimReport, Option<usize>) {
+    let key = session_key(i);
+    let link = config.link;
+    let mut faults =
+        SmallRng::seed_from_u64(link.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // Distinct per shard count, so each run explores a different (but
+    // reproducible) interleaving.
+    let mut jitter = SmallRng::seed_from_u64(
+        config.seed ^ (config.shards as u64).wrapping_mul(0x9E37) ^ ((i as u64) << 32),
+    );
+    let drop_at = u32::from(link.drop_per_mille);
+    let corrupt_at = drop_at + u32::from(link.corrupt_per_mille);
+    let truncate_at = corrupt_at + u32::from(link.truncate_per_mille);
+    let reorder_at = truncate_at + u32::from(link.reorder_per_mille);
+    let duplicate_at = 1000u32.saturating_sub(u32::from(link.duplicate_per_mille));
+    let mut tally = SimReport::default();
+    let (mut shard, mut migrated) = (None, None);
+
+    'frames: while let Some((seq, bytes)) = pending.pop_front() {
+        if kill_at == Some(seq) {
+            barrier.wait(); // every session has delivered `seq` frames...
+            barrier.wait(); // ...and the victim is down.
+        }
+        if config.submit_jitter_us > 0 {
+            let us = jitter.gen_range(0..config.submit_jitter_us);
+            std::thread::sleep(Duration::from_micros(us));
+        }
+        for _attempt in 0..link.max_attempts.max(1) {
+            let roll: u32 = faults.gen_range(0u32..1000);
+            if roll < drop_at {
+                tally.frames_dropped += 1;
+                tally.retransmissions += 1;
+                continue;
+            }
+            if roll < corrupt_at {
+                let mut mangled = bytes.clone();
+                let at = faults.gen_range(0..mangled.len());
+                mangled[at] ^= 0x41;
+                if server.receive(&mangled).is_some() {
+                    tally
+                        .mismatches
+                        .push(format!("{key} seq {seq}: corrupt message was accepted"));
+                }
+                tally.frames_corrupted += 1;
+                tally.retransmissions += 1;
+                continue;
+            }
+            if roll < truncate_at {
+                let keep = faults.gen_range(4..bytes.len());
+                if server.receive(&bytes[..keep]).is_some() {
+                    tally
+                        .mismatches
+                        .push(format!("{key} seq {seq}: truncated message was accepted"));
+                }
+                tally.frames_truncated += 1;
+                tally.retransmissions += 1;
+                continue;
+            }
+            if roll < reorder_at {
+                // The delayed-link case: the next frame overtakes this one.
+                // The gate must refuse it (gap), keeping it pending for
+                // in-order delivery later.
+                if let Some((ahead_seq, ahead)) = pending.front() {
+                    if server.receive(ahead).is_some() {
+                        tally.mismatches.push(format!(
+                            "{key} seq {ahead_seq}: out-of-order message was accepted"
+                        ));
+                    }
+                    tally.frames_reordered += 1;
+                }
+            }
+            match server.receive(&bytes) {
+                Some(net::ACK_ACCEPTED) => tally.frames_delivered += 1,
+                Some(_) => {}
+                None => {
+                    tally.retransmissions += 1;
+                    continue;
+                }
+            }
+            if roll >= duplicate_at {
+                if server.receive(&bytes) == Some(net::ACK_ACCEPTED) {
+                    tally
+                        .mismatches
+                        .push(format!("{key} seq {seq}: duplicate was re-delivered"));
+                }
+                tally.frames_duplicated += 1;
+            }
+            // Only this feeder delivers to the session, so a shard change
+            // was caused by this frame.
+            let now = server.sink.session_shard(&key);
+            if shard.is_some() && now != shard {
+                migrated.get_or_insert(seq);
+            }
+            shard = now;
+            continue 'frames;
+        }
+        tally.mismatches.push(format!(
+            "{key} seq {seq}: wedged after {} delivery attempts",
+            link.max_attempts
+        ));
+    }
+    (tally, migrated)
 }
 
 /// Deterministic per-frame service cost as a function of the session's QoS
@@ -516,8 +747,8 @@ fn last_half_p95(samples: &[u64]) -> u64 {
 /// discrete-event model of the scheduler (worker pool + per-session frame
 /// serialization + FIFO order) serves the seeded workload, with every
 /// session's *real* [`QosController`] in the loop when `qos_enabled` —
-/// exactly the code the production scheduler runs, fed from a
-/// [`VirtualClock`]-style timeline instead of `Instant`s.  Key-frame
+/// exactly the code the production scheduler runs, fed from a virtual
+/// microsecond timeline instead of `Instant`s.  Key-frame
 /// selection mirrors ISM: a key every `propagation_window` frames, plus
 /// seeded motion spikes that force re-keys whenever they exceed the
 /// session's `AdaptiveMotion` threshold (so relaxing the threshold — the
@@ -638,569 +869,9 @@ pub fn run_overload_sim(config: &OverloadConfig, qos_enabled: bool) -> OverloadR
     }
 }
 
-/// Per-mille fault rates of the simulated lossy transport, plus the
-/// retransmission budget.  Rates are rolled per delivery *attempt*, so a
-/// frame can be dropped, corrupted and reordered on successive tries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Seed of the fault roll (independent of the workload seed).
-    pub seed: u64,
-    /// Per-mille chance a message vanishes in flight.
-    pub drop_per_mille: u16,
-    /// Per-mille chance a message arrives with one byte flipped.
-    pub corrupt_per_mille: u16,
-    /// Per-mille chance a message arrives cut off mid-frame (the
-    /// half-written-frame-on-disconnect case).
-    pub truncate_per_mille: u16,
-    /// Per-mille chance a delivered message is delivered twice.
-    pub duplicate_per_mille: u16,
-    /// Per-mille chance the *next* frame arrives before this one (the
-    /// delayed/reordered-link case).
-    pub reorder_per_mille: u16,
-    /// Delivery attempts per frame before the link declares the session
-    /// wedged (the assertion the harness exists to keep false).
-    pub max_attempts: usize,
-}
-
-impl ChaosConfig {
-    /// The CI scenario: every fault class well above real-link rates, with
-    /// a retransmission budget that makes loss of progress astronomically
-    /// unlikely while still bounding the sim.
-    pub fn ci() -> Self {
-        Self {
-            seed: 0xC4_05,
-            drop_per_mille: 150,
-            corrupt_per_mille: 100,
-            truncate_per_mille: 80,
-            duplicate_per_mille: 120,
-            reorder_per_mille: 120,
-            max_attempts: 64,
-        }
-    }
-}
-
-/// Outcome of one [`run_chaos_transport_sim`] run.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Frames accepted by the receiver exactly once.
-    pub frames_delivered: u64,
-    /// Messages the link dropped.
-    pub frames_dropped: u64,
-    /// Messages delivered with a flipped byte (all must be rejected).
-    pub frames_corrupted: u64,
-    /// Messages delivered cut off mid-frame (all must be rejected).
-    pub frames_truncated: u64,
-    /// Accepted messages the link delivered a second time (all must be
-    /// deduplicated).
-    pub frames_duplicated: u64,
-    /// Messages that arrived ahead of order (all must be refused as gaps).
-    pub frames_reordered: u64,
-    /// Sender retransmissions forced by unacknowledged deliveries.
-    pub retransmissions: u64,
-    /// Total faults counted by the transport counters (every injected
-    /// corruption/truncation/gap must appear here).
-    pub transport_errors: u64,
-    /// Frames byte-compared against the batch baseline.
-    pub frames_compared: u64,
-    /// Human-readable descriptions of every divergence (empty on success).
-    pub mismatches: Vec<String>,
-}
-
-impl ChaosReport {
-    /// Whether every session's output was byte-identical to batch and no
-    /// session wedged.
-    pub fn is_deterministic(&self) -> bool {
-        self.mismatches.is_empty()
-    }
-}
-
-/// What the simulated receiver did with one delivered message; mirrors the
-/// accept/duplicate/reject split of the real TCP server's ack protocol.
-enum Receipt {
-    /// Validated, in order, delivered to the session: acknowledged.
-    Accepted,
-    /// A retransmission of an already-delivered frame: acknowledged
-    /// without re-delivery.
-    Duplicate,
-    /// Rejected (decode fault or sequence gap): the sender must retry.
-    Rejected,
-}
-
-/// The receive path of the chaos sim — the same validate → dedup → deliver
-/// pipeline as [`crate::FrameServer`], minus the socket.
-fn chaos_receive(
-    bytes: &[u8],
-    gate: &SequenceGate,
-    counters: &TransportCounters,
-    supervisor: &Supervisor,
-) -> Result<Receipt, AsvError> {
-    let frame = match wire::validate(bytes, wire::MAX_MESSAGE_BYTES) {
-        Ok(frame) => frame,
-        Err(error) => {
-            if let AsvError::Wire { fault, .. } = &error {
-                counters.record(TransportErrorKind::of_wire(*fault));
-            }
-            return Ok(Receipt::Rejected);
-        }
-    };
-    let mut failure: Option<AsvError> = None;
-    let admit = gate.admit(frame.key, frame.seq, || {
-        let mut left = supervisor.recycled_frame(frame.key, frame.width, frame.height);
-        let mut right = supervisor.recycled_frame(frame.key, frame.width, frame.height);
-        if let Err(error) = frame.fill_planes(&mut left, &mut right) {
-            failure = Some(error);
-            return Err(());
-        }
-        match supervisor.submit(frame.key, left, right) {
-            Ok(_) => Ok(()),
-            Err(error) => {
-                failure = Some(error);
-                Err(())
-            }
-        }
-    });
-    match admit {
-        Admit::Delivered => Ok(Receipt::Accepted),
-        // The sim treats a pipeline failure as a hard error (the chaos
-        // link only injects transport faults, never sink failures).
-        Admit::Failed => Err(failure
-            .unwrap_or_else(|| AsvError::transport("chaos delivery failed without an error"))),
-        Admit::Duplicate => Ok(Receipt::Duplicate),
-        Admit::Gap { .. } => {
-            counters.record(TransportErrorKind::Gap);
-            Ok(Receipt::Rejected)
-        }
-    }
-}
-
-/// Runs the lossy-transport determinism experiment: every session's frames
-/// are wire-encoded and pushed through a seeded faulty link
-/// (drop/corrupt/truncate/duplicate/reorder) into the real receive pipeline
-/// — [`wire::validate`], a [`SequenceGate`], a [`Supervisor`]-fronted
-/// [`Cluster`] — with at-least-once retransmission until each frame is
-/// acknowledged.  Asserted downstream: every fault was counted, no session
-/// wedged, and every session's output is byte-identical to batch.
-///
-/// Fully deterministic for a given config: single-threaded link, seeded
-/// fault rolls.
-///
-/// # Errors
-///
-/// Returns the first [`AsvError`] if the serving path itself fails
-/// (divergence is recorded in [`ChaosReport::mismatches`], not an error).
-pub fn run_chaos_transport_sim(
-    pipeline: &IsmPipeline,
-    config: &SimConfig,
-    chaos: &ChaosConfig,
-) -> Result<ChaosReport, AsvError> {
-    let streams = generate_streams(config);
-    let batch: Vec<IsmResult> = streams
-        .iter()
-        .map(|s| pipeline.process_sequence(s))
-        .collect::<Result<_, _>>()?;
-
-    let shard_config = SchedulerConfig {
-        workers: config.workers_per_shard.max(1),
-        inbox_capacity: config.inbox_capacity,
-        shed_policy: ShedPolicy::Block,
-    };
-    let cluster = Arc::new(Cluster::new(
-        ClusterConfig::new(1).with_shard_config(shard_config),
-    ));
-    let counters = cluster.transport_counters();
-    let state_pipeline = pipeline.clone();
-    let supervisor = Supervisor::new(Arc::clone(&cluster), move |_| state_pipeline.state());
-
-    let gate = SequenceGate::new();
-    let mut report = ChaosReport {
-        frames_delivered: 0,
-        frames_dropped: 0,
-        frames_corrupted: 0,
-        frames_truncated: 0,
-        frames_duplicated: 0,
-        frames_reordered: 0,
-        retransmissions: 0,
-        transport_errors: 0,
-        frames_compared: 0,
-        mismatches: Vec::new(),
-    };
-
-    for (i, stream) in streams.iter().enumerate() {
-        let key = session_key(i);
-        let mut rng =
-            SmallRng::seed_from_u64(chaos.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut pending: std::collections::VecDeque<(u64, Vec<u8>)> =
-            std::collections::VecDeque::new();
-        for (seq, frame) in stream.frames().iter().enumerate() {
-            let mut bytes = Vec::new();
-            wire::encode_frame_into(&mut bytes, &key, seq as u64, &frame.left, &frame.right)?;
-            pending.push_back((seq as u64, bytes));
-        }
-
-        'frames: while let Some((seq, bytes)) = pending.pop_front() {
-            for _attempt in 0..chaos.max_attempts.max(1) {
-                let roll: u32 = rng.gen_range(0u32..1000);
-                let drop_at = u32::from(chaos.drop_per_mille);
-                let corrupt_at = drop_at + u32::from(chaos.corrupt_per_mille);
-                let truncate_at = corrupt_at + u32::from(chaos.truncate_per_mille);
-                let reorder_at = truncate_at + u32::from(chaos.reorder_per_mille);
-                if roll < drop_at {
-                    report.frames_dropped += 1;
-                    report.retransmissions += 1;
-                    continue;
-                }
-                if roll < corrupt_at {
-                    let mut mangled = bytes.clone();
-                    let at = rng.gen_range(0..mangled.len());
-                    mangled[at] ^= 0x41;
-                    if matches!(
-                        chaos_receive(&mangled, &gate, &counters, &supervisor)?,
-                        Receipt::Accepted | Receipt::Duplicate
-                    ) {
-                        report
-                            .mismatches
-                            .push(format!("{key} seq {seq}: corrupt message was accepted"));
-                    }
-                    report.frames_corrupted += 1;
-                    report.retransmissions += 1;
-                    continue;
-                }
-                if roll < truncate_at {
-                    let keep = rng.gen_range(4..bytes.len());
-                    if matches!(
-                        chaos_receive(&bytes[..keep], &gate, &counters, &supervisor)?,
-                        Receipt::Accepted | Receipt::Duplicate
-                    ) {
-                        report
-                            .mismatches
-                            .push(format!("{key} seq {seq}: truncated message was accepted"));
-                    }
-                    report.frames_truncated += 1;
-                    report.retransmissions += 1;
-                    continue;
-                }
-                if roll < reorder_at {
-                    // The delayed-link case: the next frame overtakes this
-                    // one.  The gate must refuse it (gap), keeping it
-                    // pending for in-order delivery later.
-                    if let Some((ahead_seq, ahead)) = pending.front() {
-                        if matches!(
-                            chaos_receive(ahead, &gate, &counters, &supervisor)?,
-                            Receipt::Accepted | Receipt::Duplicate
-                        ) {
-                            report.mismatches.push(format!(
-                                "{key} seq {ahead_seq}: out-of-order message was accepted"
-                            ));
-                        }
-                        report.frames_reordered += 1;
-                    }
-                }
-                match chaos_receive(&bytes, &gate, &counters, &supervisor)? {
-                    Receipt::Accepted => report.frames_delivered += 1,
-                    Receipt::Duplicate => {}
-                    Receipt::Rejected => {
-                        report.retransmissions += 1;
-                        continue;
-                    }
-                }
-                if roll >= 1000 - u32::from(chaos.duplicate_per_mille) {
-                    if matches!(
-                        chaos_receive(&bytes, &gate, &counters, &supervisor)?,
-                        Receipt::Accepted
-                    ) {
-                        report
-                            .mismatches
-                            .push(format!("{key} seq {seq}: duplicate was re-delivered"));
-                    }
-                    report.frames_duplicated += 1;
-                }
-                continue 'frames;
-            }
-            report.mismatches.push(format!(
-                "{key} seq {seq}: wedged after {} delivery attempts",
-                chaos.max_attempts
-            ));
-        }
-    }
-
-    report.transport_errors = counters.total();
-    supervisor.finish();
-    let cluster = Arc::try_unwrap(cluster).expect("supervisor retained a cluster handle");
-    let outcome = cluster.join();
-    for (i, expected) in batch.iter().enumerate() {
-        let key = session_key(i);
-        let label = format!("chaos-transport {key}");
-        match outcome.session_by_key(&key) {
-            Some(session) => {
-                if let Some(error) = &session.error {
-                    report
-                        .mismatches
-                        .push(format!("{label}: session failed: {error}"));
-                }
-                compare_session(
-                    &label,
-                    expected,
-                    &session.frames,
-                    &mut report.frames_compared,
-                    &mut report.mismatches,
-                );
-            }
-            None => report
-                .mismatches
-                .push(format!("{label}: session missing from report")),
-        }
-    }
-    Ok(report)
-}
-
-/// Parameters of one [`run_failover_sim`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverConfig {
-    /// Workload shape (seed, sessions, frames, frame size, shard sizing).
-    pub sim: SimConfig,
-    /// Scheduler shards in the cluster.
-    pub shards: usize,
-    /// The shard to kill; `None` kills the shard serving session 0, which
-    /// guarantees at least one migration.
-    pub victim: Option<usize>,
-    /// Frames per session delivered before the kill (must be at least 1).
-    pub kill_after: usize,
-}
-
-impl FailoverConfig {
-    /// The CI scenario: four sessions over three shards, shard killed
-    /// mid-stream.
-    pub fn ci() -> Self {
-        Self {
-            sim: SimConfig::small().with_sessions(4).with_frames(6),
-            shards: 3,
-            victim: None,
-            kill_after: 3,
-        }
-    }
-}
-
-/// Outcome of one [`run_failover_sim`] run.
-#[derive(Debug, Clone)]
-pub struct FailoverReport {
-    /// The shard the sim killed.
-    pub victim: usize,
-    /// Every re-placement the supervisor performed.
-    pub migrations: Vec<MigrationRecord>,
-    /// Per session: the frame index that observed the failure and was
-    /// re-delivered as the first (key) frame of the new incarnation
-    /// (`None` for sessions the kill never touched).
-    pub migration_frame: Vec<Option<usize>>,
-    /// Frames byte-compared against their baselines.
-    pub frames_compared: u64,
-    /// Divergences from the byte-identical contract (empty on success).
-    pub mismatches: Vec<String>,
-    /// Sessions that failed a submit after the kill (must be empty: frame
-    /// loss never wedges a session).
-    pub wedged: Vec<String>,
-    /// The final Prometheus scrape, containing the
-    /// `asv_sessions_migrated_total` / `asv_transport_errors_total`
-    /// families.
-    pub scrape: String,
-}
-
-impl FailoverReport {
-    /// Whether recovery was deterministic and every session survived.
-    pub fn is_deterministic(&self) -> bool {
-        self.mismatches.is_empty() && self.wedged.is_empty()
-    }
-}
-
-/// Runs the shard-failure recovery experiment: the seeded workload streams
-/// through a [`Supervisor`]-fronted multi-shard [`Cluster`]; mid-stream one
-/// shard is killed ([`Cluster::trip_shard`]).  The supervisor must re-place
-/// every session of the dead shard onto survivors with a key-frame re-key,
-/// after which each migrated session's output must be byte-identical to a
-/// fresh batch run over its post-migration frames — and untouched sessions
-/// byte-identical to batch over their full stream.  No session may wedge.
-///
-/// Single-threaded frame feed: deterministic migration points for a given
-/// config.
-///
-/// # Errors
-///
-/// Returns the first [`AsvError`] if baseline computation fails (recovery
-/// failures are recorded in the report, not returned).
-pub fn run_failover_sim(
-    pipeline: &IsmPipeline,
-    config: &FailoverConfig,
-) -> Result<FailoverReport, AsvError> {
-    let streams = generate_streams(&config.sim);
-    let batch: Vec<IsmResult> = streams
-        .iter()
-        .map(|s| pipeline.process_sequence(s))
-        .collect::<Result<_, _>>()?;
-
-    let shard_config = SchedulerConfig {
-        workers: config.sim.workers_per_shard.max(1),
-        inbox_capacity: config.sim.inbox_capacity,
-        shed_policy: ShedPolicy::Block,
-    };
-    let cluster = Arc::new(Cluster::new(
-        ClusterConfig::new(config.shards.max(2)).with_shard_config(shard_config),
-    ));
-    let victim = match config.victim {
-        Some(victim) => victim,
-        None => cluster.live_shard_for_key(&session_key(0))?,
-    };
-    let state_pipeline = pipeline.clone();
-    let supervisor = Supervisor::new(Arc::clone(&cluster), move |_| state_pipeline.state());
-
-    let sessions = config.sim.sessions;
-    let frames = config.sim.frames_per_session;
-    let mut migration_frame: Vec<Option<usize>> = vec![None; sessions];
-    let mut wedged = Vec::new();
-    for f in 0..frames {
-        if f == config.kill_after.max(1) {
-            cluster.trip_shard(victim, "failover sim kill");
-        }
-        for (i, stream) in streams.iter().enumerate() {
-            let frame = &stream.frames()[f];
-            let key = session_key(i);
-            match supervisor.submit(&key, frame.left.clone(), frame.right.clone()) {
-                Ok(Delivery::Delivered) => {}
-                Ok(Delivery::Migrated { .. }) => {
-                    if migration_frame[i].is_none() {
-                        migration_frame[i] = Some(f);
-                    }
-                }
-                Err(error) => wedged.push(format!("{key} frame {f}: {error}")),
-            }
-        }
-    }
-
-    let migrations = supervisor.migrations();
-    supervisor.finish();
-    let cluster = Arc::try_unwrap(cluster).expect("supervisor retained a cluster handle");
-    let outcome = cluster.join();
-    let scrape = outcome.render_prometheus();
-
-    let mut frames_compared = 0u64;
-    let mut mismatches = Vec::new();
-    for (i, expected) in batch.iter().enumerate() {
-        let key = session_key(i);
-        match migration_frame[i] {
-            None => {
-                let label = format!("failover untouched {key}");
-                match outcome.session_by_key(&key) {
-                    Some(session) => {
-                        if let Some(error) = &session.error {
-                            mismatches.push(format!("{label}: session failed: {error}"));
-                        }
-                        compare_session(
-                            &label,
-                            expected,
-                            &session.frames,
-                            &mut frames_compared,
-                            &mut mismatches,
-                        );
-                    }
-                    None => mismatches.push(format!("{label}: session missing from report")),
-                }
-            }
-            Some(rekey) => {
-                // The dead incarnation: whatever prefix it processed before
-                // the kill must match the batch prefix byte for byte.
-                let old = outcome.shards[victim]
-                    .sessions
-                    .iter()
-                    .find(|s| s.label.as_deref() == Some(key.as_str()));
-                match old {
-                    Some(session) => {
-                        if session.frames.len() > rekey {
-                            mismatches.push(format!(
-                                "failover dead-shard {key}: processed {} frames, only {rekey} \
-                                 were delivered before the kill",
-                                session.frames.len()
-                            ));
-                        } else {
-                            compare_frames(
-                                &format!("failover dead-shard {key}"),
-                                &expected.frames[..session.frames.len()],
-                                &session.frames,
-                                &mut frames_compared,
-                                &mut mismatches,
-                            );
-                        }
-                    }
-                    None => {
-                        mismatches.push(format!("failover dead-shard {key}: incarnation missing"))
-                    }
-                }
-                // The re-keyed incarnation: byte-identical to a fresh batch
-                // run over the post-migration frames.
-                let to = migrations
-                    .iter()
-                    .find(|m| m.key == key)
-                    .map(|m| m.to)
-                    .unwrap_or(victim);
-                let label = format!("failover re-keyed {key}");
-                let new = outcome.shards[to]
-                    .sessions
-                    .iter()
-                    .find(|s| s.label.as_deref() == Some(key.as_str()));
-                match new {
-                    Some(session) => {
-                        if let Some(error) = &session.error {
-                            mismatches.push(format!("{label}: session failed: {error}"));
-                        }
-                        let mut state = pipeline.state();
-                        let mut suffix = Vec::with_capacity(frames - rekey);
-                        for frame in &streams[i].frames()[rekey..] {
-                            suffix.push(state.step(&frame.left, &frame.right)?);
-                        }
-                        if suffix.len() != session.frames.len() {
-                            mismatches.push(format!(
-                                "{label}: {} frames, expected {} from the re-key point",
-                                session.frames.len(),
-                                suffix.len()
-                            ));
-                        } else {
-                            compare_frames(
-                                &label,
-                                &suffix,
-                                &session.frames,
-                                &mut frames_compared,
-                                &mut mismatches,
-                            );
-                        }
-                    }
-                    None => mismatches.push(format!("{label}: incarnation missing")),
-                }
-            }
-        }
-    }
-
-    Ok(FailoverReport {
-        victim,
-        migrations,
-        migration_frame,
-        frames_compared,
-        mismatches,
-        wedged,
-        scrape,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtual_clock_advances_deterministically() {
-        let mut clock = VirtualClock::new();
-        assert_eq!(clock.now_us(), 0);
-        let step = clock.advance_us(1_500);
-        assert_eq!(step, Duration::from_micros(1_500));
-        clock.advance_us(500);
-        assert_eq!(clock.now_us(), 2_000);
-        assert!((clock.now_seconds() - 0.002).abs() < 1e-12);
-    }
 
     #[test]
     fn workload_generation_is_seed_stable() {

@@ -13,7 +13,7 @@
 //! # Re-placement and re-keying
 //!
 //! The [`Supervisor`] owns the reaction.  On the first `ShardDown` a
-//! session's submit reports (or proactively via [`Supervisor::check`]), it
+//! session's submit reports, it
 //!
 //! 1. asks the cluster for a new home via the *failure-aware* consistent
 //!    hash walk ([`crate::Cluster::add_session`]), so re-placement is
@@ -26,8 +26,7 @@
 //! 3. bumps the source shard's `asv_sessions_migrated_total` counter and
 //!    appends a [`MigrationRecord`] for the harness to audit;
 //! 4. re-delivers the frame whose submit observed the failure, so the
-//!    producer never sees the migration — only a [`Delivery::Migrated`]
-//!    receipt.
+//!    producer never sees the migration: its submit simply succeeds.
 //!
 //! Frames that were queued on the dead shard are lost (counted in its
 //! `asv_frames_dropped_total`); the determinism contract is byte-identical
@@ -48,22 +47,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// configuration per stream.
 pub type StateFactory = Box<dyn Fn(&str) -> IsmState + Send + Sync>;
 
-/// What [`Supervisor::submit`] did with a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Delivered to the session's current shard.
-    Delivered,
-    /// The session's shard had failed: the session was re-placed and
-    /// re-keyed, and this frame was delivered as the first (key) frame of
-    /// its new incarnation.
-    Migrated {
-        /// Shard the session left.
-        from: usize,
-        /// Shard now serving the session.
-        to: usize,
-    },
-}
-
 /// One audited session re-placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationRecord {
@@ -80,8 +63,8 @@ pub struct MigrationRecord {
 /// surviving shard with a fresh (re-keyed) state.
 ///
 /// Frames are submitted straight into the shard schedulers, so
-/// backpressure and failure detection are both synchronous (the
-/// deterministic failover sim relies on this).  The supervisor is the
+/// backpressure and failure detection are both synchronous (the sim's
+/// shard-kill scenarios rely on this).  The supervisor is the
 /// natural [`FrameSink`] for a [`crate::FrameServer`]: frames arriving over
 /// TCP land on live shards even while shards die.
 pub struct Supervisor {
@@ -142,15 +125,16 @@ impl Supervisor {
     }
 
     /// Re-places `key` away from failed shard `from`: fresh state (re-key),
-    /// failure-aware placement, audit trail.  Returns the new shard.  When
-    /// another thread already migrated the session off `from`, returns the
-    /// existing placement instead of migrating twice.
-    fn replace(&self, key: &str, from: usize) -> Result<usize, AsvError> {
+    /// failure-aware placement, audit trail.  When another thread already
+    /// migrated the session off `from`, keeps that placement instead of
+    /// migrating twice.
+    fn replace(&self, key: &str, from: usize) -> Result<(), AsvError> {
         let mut sessions = self.lock_sessions();
-        if let Some(placed) = sessions.get(key) {
-            if placed.shard() != from {
-                return Ok(placed.shard());
-            }
+        if sessions
+            .get(key)
+            .is_some_and(|placed| placed.shard() != from)
+        {
+            return Ok(());
         }
         let placed = self
             .cluster
@@ -167,39 +151,32 @@ impl Supervisor {
                 from,
                 to,
             });
-        Ok(to)
+        Ok(())
     }
 
     /// Delivers one stereo frame to `key`'s session, creating the session
     /// on first use and migrating it to a surviving shard if its current
     /// shard has failed.  The frame that observes a failure is re-delivered
-    /// to the new placement, so no accepted frame is ever lost to a
-    /// migration.
+    /// to the new placement as the first (key) frame of the session's new
+    /// incarnation, so no accepted frame is ever lost to a migration.
     ///
     /// # Errors
     ///
     /// [`AsvError::ShardDown`] when every shard has failed; otherwise the
     /// underlying submit error (e.g. [`AsvError::Saturated`] under a
     /// `Reject` shed policy, or a stored per-session failure).
-    pub fn submit(&self, key: &str, left: Image, right: Image) -> Result<Delivery, AsvError> {
+    pub fn submit(&self, key: &str, left: Image, right: Image) -> Result<(), AsvError> {
         let mut frame = (left, right);
-        let mut migrated: Option<(usize, usize)> = None;
         // Each failed attempt removes a shard from the live set, so one
         // attempt per shard (plus the first) always terminates.
         for _ in 0..=self.cluster.shard_count() {
             let (shard, handle) = self.target(key)?;
             let (left, right) = frame;
             match handle.submit_recoverable(left, right) {
-                Ok(()) => {
-                    return Ok(match migrated {
-                        Some((from, to)) => Delivery::Migrated { from, to },
-                        None => Delivery::Delivered,
-                    });
-                }
+                Ok(()) => return Ok(()),
                 Err((AsvError::ShardDown { .. }, left, right)) => {
                     frame = (left, right);
-                    let to = self.replace(key, shard)?;
-                    migrated = Some((migrated.map_or(shard, |(first, _)| first), to));
+                    self.replace(key, shard)?;
                 }
                 Err((error, _, _)) => return Err(error),
             }
@@ -208,30 +185,6 @@ impl Supervisor {
         Err(AsvError::shard_down(format!(
             "session {key}: no surviving shard accepted the frame"
         )))
-    }
-
-    /// Proactive failure sweep: migrates every supervised session whose
-    /// shard has failed, without waiting for its next frame.  Returns the
-    /// number of sessions moved.
-    ///
-    /// # Errors
-    ///
-    /// [`AsvError::ShardDown`] when a session cannot be re-placed because
-    /// every shard has failed.
-    pub fn check(&self) -> Result<usize, AsvError> {
-        let stranded: Vec<(String, usize)> = {
-            let sessions = self.lock_sessions();
-            sessions
-                .iter()
-                .filter(|(_, placed)| self.cluster.shard_is_failed(placed.shard()))
-                .map(|(key, placed)| (key.clone(), placed.shard()))
-                .collect()
-        };
-        let moved = stranded.len();
-        for (key, from) in stranded {
-            self.replace(&key, from)?;
-        }
-        Ok(moved)
     }
 
     /// The shard currently serving `key`, if the session exists.
@@ -258,13 +211,14 @@ impl Supervisor {
 
 impl FrameSink for Supervisor {
     fn deliver(&self, key: &str, _seq: u64, left: Image, right: Image) -> Result<(), AsvError> {
-        self.submit(key, left, right).map(|_| ())
+        self.submit(key, left, right)
     }
 
     fn recycled_frame(&self, key: &str, width: usize, height: usize) -> Image {
         let handle = self
             .lock_sessions()
             .get(key)
+            // lint: alloc-ok(SessionHandle clone is an Arc refcount bump, no heap alloc)
             .map(|placed| placed.handle().clone());
         match handle {
             Some(handle) => handle.recycled_frame(width, height),
@@ -318,10 +272,9 @@ mod tests {
         let scene = SceneConfig::scene_flow_like(32, 24).with_seed(7);
         let seq = StereoSequence::generate(&scene, 1);
         let frame = &seq.frames()[0];
-        let delivery = supervisor
+        supervisor
             .submit("cam-0", frame.left.clone(), frame.right.clone())
             .expect("submit");
-        assert_eq!(delivery, Delivery::Delivered);
         assert!(supervisor.session_shard("cam-0").is_some());
         assert!(supervisor.migrations().is_empty());
     }
@@ -339,11 +292,10 @@ mod tests {
             .expect("first submit");
         let from = supervisor.session_shard("cam-0").expect("placed");
         cluster.trip_shard(from, "test kill");
-        let delivery = supervisor
+        supervisor
             .submit("cam-0", frames[1].left.clone(), frames[1].right.clone())
             .expect("submit after kill");
         let to = supervisor.session_shard("cam-0").expect("still placed");
-        assert_eq!(delivery, Delivery::Migrated { from, to });
         assert_ne!(from, to, "re-placement must leave the dead shard");
         assert_eq!(
             supervisor.migrations(),

@@ -35,9 +35,10 @@
 //!   mismatches, invalid UTF-8 keys and inconsistent lengths are all errors,
 //!   never indexing faults.
 //! * **Allocation-free steady state.**  [`encode_frame_into`] reuses the
-//!   caller's buffer and [`decode_frame`] fills planes checked out of a
-//!   recycled [`BufferPool`], so a warm server decodes frames without
-//!   touching the heap (proven by the counting-allocator test in
+//!   caller's buffer, [`validate_message`] borrows from the message, and
+//!   [`FrameRef::fill_planes`] writes into planes the server recycles from
+//!   the target session's frame pool, so a warm server decodes frames
+//!   without touching the heap (proven by the counting-allocator test in
 //!   `tests/wire.rs`).
 //! * **Whole-message integrity.**  The CRC covers the header fields as well
 //!   as the key and payload, so a bit flip anywhere after the length prefix
@@ -47,7 +48,6 @@
 use asv::error::WireFault;
 use asv::AsvError;
 use asv_image::Image;
-use asv_mem::BufferPool;
 
 /// The four magic bytes opening every message (after the length prefix).
 pub const MAGIC: [u8; 4] = *b"ASVF";
@@ -242,30 +242,6 @@ pub struct FrameRef<'a> {
 }
 
 impl FrameRef<'_> {
-    /// Deserializes the two planes into `data` buffers of exactly
-    /// `width * height` elements (checked), little-endian.
-    fn fill_plane(bytes: &[u8], data: &mut [f32]) {
-        for (dst, raw) in data.iter_mut().zip(bytes.chunks_exact(4)) {
-            *dst = f32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
-        }
-    }
-
-    /// Builds the left plane from a recycled pool buffer.
-    pub fn left_into(&self, pool: &mut BufferPool) -> Image {
-        let mut data = pool.take_scratch(self.width * self.height);
-        Self::fill_plane(self.left_bytes, &mut data);
-        Image::from_vec(self.width, self.height, data)
-            .expect("pool buffer has exactly width * height pixels")
-    }
-
-    /// Builds the right plane from a recycled pool buffer.
-    pub fn right_into(&self, pool: &mut BufferPool) -> Image {
-        let mut data = pool.take_scratch(self.width * self.height);
-        Self::fill_plane(self.right_bytes, &mut data);
-        Image::from_vec(self.width, self.height, data)
-            .expect("pool buffer has exactly width * height pixels")
-    }
-
     /// Deserializes both planes into caller-provided images, which must
     /// already have this frame's dimensions (e.g. recycled from the target
     /// shard's frame pool) — the zero-allocation server path.
@@ -279,6 +255,7 @@ impl FrameRef<'_> {
             if image.width() != self.width || image.height() != self.height {
                 return Err(AsvError::wire(
                     WireFault::Length,
+                    // lint: alloc-ok(error path, frame already rejected)
                     format!(
                         "provided {}x{} plane for a {}x{} frame",
                         image.width(),
@@ -288,23 +265,12 @@ impl FrameRef<'_> {
                     ),
                 ));
             }
-            Self::fill_plane(plane, image.as_mut_slice());
+            for (dst, raw) in image.as_mut_slice().iter_mut().zip(plane.chunks_exact(4)) {
+                *dst = f32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
+            }
         }
         Ok(())
     }
-}
-
-/// One decoded stereo frame with owned planes (see [`decode_frame`]).
-#[derive(Debug)]
-pub struct WireFrame<'a> {
-    /// Session key routing this frame (borrowed from the input buffer).
-    pub key: &'a str,
-    /// Per-session sequence number.
-    pub seq: u64,
-    /// Left plane.
-    pub left: Image,
-    /// Right plane.
-    pub right: Image,
 }
 
 /// One structurally validated wire message.
@@ -454,31 +420,6 @@ pub fn validate(bytes: &[u8], max_message_bytes: usize) -> Result<FrameRef<'_>, 
             "hello message where a stereo frame was required".to_owned(),
         )),
     }
-}
-
-/// [`validate`] plus plane deserialization into recycled pool buffers.
-///
-/// A warm pool (one that has absorbed the planes of a previous same-sized
-/// frame) makes this completely allocation-free; the returned key borrows
-/// from `bytes`.
-///
-/// # Errors
-///
-/// Same conditions as [`validate`].
-pub fn decode_frame<'a>(
-    bytes: &'a [u8],
-    max_message_bytes: usize,
-    pool: &mut BufferPool,
-) -> Result<WireFrame<'a>, AsvError> {
-    let frame = validate(bytes, max_message_bytes)?;
-    let left = frame.left_into(pool);
-    let right = frame.right_into(pool);
-    Ok(WireFrame {
-        key: frame.key,
-        seq: frame.seq,
-        left,
-        right,
-    })
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use asv::ism::{IsmConfig, IsmPipeline};
 use asv::AsvError;
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
 use asv_image::Image;
-use asv_runtime::sim::{run_cluster_sim, session_key, SimConfig};
-use asv_runtime::{Cluster, ClusterConfig, SchedulerConfig};
+use asv_runtime::sim::{generate_streams, run_sim, session_key, SimConfig};
+use asv_runtime::{serve_sequences, Cluster, ClusterConfig, SchedulerConfig, ShedPolicy};
 use asv_stereo::block_matching::BlockMatchParams;
 
 fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
@@ -31,23 +31,44 @@ fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
     )
 }
 
-/// The acceptance-criterion proof: for a seeded workload, a cluster of 1, 2
-/// and 4 shards produces per-session disparity results byte-identical to a
-/// single scheduler and to batch `process_sequence`.
+/// The acceptance-criterion proof: for a seeded workload, a single
+/// scheduler and a cluster of 1, 2 and 4 shards behind the networked
+/// receive path produce per-session disparity results byte-identical to
+/// batch `process_sequence`.
 #[test]
 fn cluster_is_byte_identical_to_single_scheduler_and_batch() {
     let sim = SimConfig::small();
     let pipe = pipeline(sim.width, sim.height, 2);
-    let report = run_cluster_sim(&pipe, &sim, &[1, 2, 4]).expect("simulation runs");
-    assert!(
-        report.is_deterministic(),
-        "divergences: {:#?}",
-        report.mismatches
-    );
-    // single-scheduler pass + three cluster passes, every frame compared.
-    let per_pass = (sim.sessions * sim.frames_per_session) as u64;
-    assert_eq!(report.frames_compared, per_pass * 4);
-    assert_eq!(report.shard_counts, vec![1, 2, 4]);
+
+    let streams = generate_streams(&sim);
+    let shard_config = SchedulerConfig {
+        workers: sim.workers_per_shard,
+        inbox_capacity: sim.inbox_capacity,
+        shed_policy: ShedPolicy::Block,
+    };
+    let single = serve_sequences(&pipe, &streams, shard_config).expect("single scheduler serves");
+    for (i, (stream, served)) in streams.iter().zip(&single.results).enumerate() {
+        let batch = pipe.process_sequence(stream).expect("batch runs");
+        assert_eq!(served.frames.len(), batch.frames.len(), "session {i}");
+        for (f, (s, b)) in served.frames.iter().zip(&batch.frames).enumerate() {
+            assert_eq!(s.kind, b.kind, "single-scheduler session {i} frame {f}");
+            assert_eq!(
+                s.disparity, b.disparity,
+                "single-scheduler session {i} frame {f}"
+            );
+        }
+    }
+
+    let per_run = (sim.sessions * sim.frames_per_session) as u64;
+    for shards in [1, 2, 4] {
+        let report = run_sim(&pipe, &SimConfig { shards, ..sim }).expect("simulation runs");
+        assert!(
+            report.is_deterministic(),
+            "{shards} shards diverged: {:#?}",
+            report.mismatches
+        );
+        assert_eq!(report.frames_compared, per_run, "{shards} shards");
+    }
 }
 
 /// A different seed must still be deterministic (the property is structural,
@@ -57,10 +78,11 @@ fn determinism_holds_under_a_second_seed_and_heavier_jitter() {
     let sim = SimConfig {
         seed: 2027,
         submit_jitter_us: 800,
+        shards: 2,
         ..SimConfig::small()
     };
     let pipe = pipeline(sim.width, sim.height, 3);
-    let report = run_cluster_sim(&pipe, &sim, &[2]).expect("simulation runs");
+    let report = run_sim(&pipe, &sim).expect("simulation runs");
     assert!(
         report.is_deterministic(),
         "divergences: {:#?}",

@@ -1,5 +1,5 @@
-//! Fault-injection acceptance tests: the seeded chaos-transport and
-//! shard-failover simulations that prove the robustness tentpole.
+//! Fault-injection acceptance tests: seeded `run_sim` scenarios with a
+//! lossy link, a shard kill, or both.
 //!
 //! Locked properties:
 //! * a lossy/reordering/duplicating link with at-least-once retransmission
@@ -8,16 +8,14 @@
 //!   transport counters;
 //! * killing a shard mid-stream migrates its sessions to survivors with a
 //!   key-frame re-key, and the post-re-key output is byte-identical to a
-//!   fresh batch run from the migration point;
+//!   fresh batch run from the migration point — also over a lossy link;
 //! * both events surface in the Prometheus scrape through the
 //!   `asv_sessions_migrated_total` and `asv_transport_errors_total`
 //!   families.
 
 use asv::ism::{IsmConfig, IsmPipeline};
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
-use asv_runtime::{
-    run_chaos_transport_sim, run_failover_sim, ChaosConfig, FailoverConfig, SimConfig,
-};
+use asv_runtime::{run_sim, LinkFaults, ShardKill, SimConfig};
 use asv_stereo::block_matching::BlockMatchParams;
 
 fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
@@ -50,9 +48,11 @@ fn ci_pipeline(sim: &SimConfig) -> IsmPipeline {
 /// and every fault is visible in the transport counters.
 #[test]
 fn chaos_transport_delivers_byte_identical_output() {
-    let sim = SimConfig::small();
-    let chaos = ChaosConfig::ci();
-    let report = run_chaos_transport_sim(&ci_pipeline(&sim), &sim, &chaos).unwrap();
+    let sim = SimConfig {
+        link: LinkFaults::ci(),
+        ..SimConfig::small()
+    };
+    let report = run_sim(&ci_pipeline(&sim), &sim).unwrap();
 
     assert!(
         report.is_deterministic(),
@@ -88,11 +88,11 @@ fn chaos_transport_is_deterministic_across_fault_schedules() {
     let sim = SimConfig::small().with_sessions(2).with_frames(5);
     let pipe = ci_pipeline(&sim);
     for seed in [1u64, 0xDEAD_BEEF, 0x5EED] {
-        let chaos = ChaosConfig {
+        let link = LinkFaults {
             seed,
-            ..ChaosConfig::ci()
+            ..LinkFaults::ci()
         };
-        let report = run_chaos_transport_sim(&pipe, &sim, &chaos).unwrap();
+        let report = run_sim(&pipe, &SimConfig { link, ..sim }).unwrap();
         assert!(
             report.is_deterministic(),
             "seed {seed:#x} diverged:\n{}",
@@ -106,19 +106,26 @@ fn chaos_transport_is_deterministic_across_fault_schedules() {
 #[test]
 fn clean_link_is_the_degenerate_chaos_case() {
     let sim = SimConfig::small().with_sessions(2).with_frames(4);
-    let chaos = ChaosConfig {
-        drop_per_mille: 0,
-        corrupt_per_mille: 0,
-        truncate_per_mille: 0,
-        duplicate_per_mille: 0,
-        reorder_per_mille: 0,
-        ..ChaosConfig::ci()
-    };
-    let report = run_chaos_transport_sim(&ci_pipeline(&sim), &sim, &chaos).unwrap();
+    assert_eq!(sim.link, LinkFaults::clean());
+    let report = run_sim(&ci_pipeline(&sim), &sim).unwrap();
     assert!(report.is_deterministic());
     assert_eq!(report.frames_dropped, 0);
     assert_eq!(report.retransmissions, 0);
     assert_eq!(report.transport_errors, 0);
+}
+
+/// The CI shard-kill scenario: four sessions over three shards, the shard
+/// serving session 0 killed after three of six frames.
+fn shard_kill_scenario(link: LinkFaults) -> SimConfig {
+    SimConfig {
+        shards: 3,
+        link,
+        kill: Some(ShardKill {
+            victim: None,
+            after: 3,
+        }),
+        ..SimConfig::small().with_sessions(4).with_frames(6)
+    }
 }
 
 /// The shard-kill acceptance criterion: mid-stream failure migrates every
@@ -126,26 +133,27 @@ fn clean_link_is_the_degenerate_chaos_case() {
 /// session wedges, and both new metric families appear in the scrape.
 #[test]
 fn shard_kill_migrates_sessions_with_byte_identical_rekey() {
-    let config = FailoverConfig::ci();
-    let report = run_failover_sim(&ci_pipeline(&config.sim), &config).unwrap();
+    let sim = shard_kill_scenario(LinkFaults::clean());
+    let report = run_sim(&ci_pipeline(&sim), &sim).unwrap();
 
     assert!(
         report.is_deterministic(),
-        "failover diverged (wedged: {:?}):\n{}",
-        report.wedged,
+        "failover diverged:\n{}",
         report.mismatches.join("\n")
     );
     assert!(
         !report.migrations.is_empty(),
         "killing the shard serving session 0 must migrate at least one session"
     );
+    let victim = report.victim.expect("the kill ran");
     for migration in &report.migrations {
-        assert_eq!(migration.from, report.victim, "migrations leave the victim");
-        assert_ne!(migration.to, report.victim, "and land on a survivor");
+        assert_eq!(migration.from, victim, "migrations leave the victim");
+        assert_ne!(migration.to, victim, "and land on a survivor");
     }
     assert!(report.frames_compared > 0, "the comparison actually ran");
 
     // Every migrated session observed the kill at the configured frame.
+    let after = sim.kill.expect("scenario kills a shard").after;
     let migrated = report
         .migration_frame
         .iter()
@@ -154,7 +162,7 @@ fn shard_kill_migrates_sessions_with_byte_identical_rekey() {
     assert!(!migrated.is_empty(), "at least one session saw the failure");
     for frame in &migrated {
         assert!(
-            *frame >= config.kill_after,
+            *frame >= after,
             "no session can migrate before the kill (saw frame {frame})"
         );
     }
@@ -170,8 +178,7 @@ fn shard_kill_migrates_sessions_with_byte_identical_rekey() {
         "scrape is missing the transport-error family"
     );
     let expected = format!(
-        "asv_sessions_migrated_total{{shard=\"{}\"}} {}",
-        report.victim,
+        "asv_sessions_migrated_total{{shard=\"{victim}\"}} {}",
         report.migrations.len()
     );
     assert!(
@@ -185,25 +192,43 @@ fn shard_kill_migrates_sessions_with_byte_identical_rekey() {
 /// victim — placement must not bias survival.
 #[test]
 fn every_victim_choice_recovers() {
-    let base = FailoverConfig {
-        sim: SimConfig::small().with_sessions(3).with_frames(5),
+    let base = SimConfig {
         shards: 2,
-        victim: None,
-        kill_after: 2,
+        ..SimConfig::small().with_sessions(3).with_frames(5)
     };
-    let pipe = ci_pipeline(&base.sim);
+    let pipe = ci_pipeline(&base);
     for victim in 0..base.shards {
-        let config = FailoverConfig {
-            victim: Some(victim),
+        let sim = SimConfig {
+            kill: Some(ShardKill {
+                victim: Some(victim),
+                after: 2,
+            }),
             ..base
         };
-        let report = run_failover_sim(&pipe, &config).unwrap();
-        assert_eq!(report.victim, victim);
+        let report = run_sim(&pipe, &sim).unwrap();
+        assert_eq!(report.victim, Some(victim));
         assert!(
             report.is_deterministic(),
-            "victim {victim} diverged (wedged: {:?}):\n{}",
-            report.wedged,
+            "victim {victim} diverged:\n{}",
             report.mismatches.join("\n")
         );
     }
+}
+
+/// A shard dies while the link drops, corrupts, truncates, duplicates and
+/// reorders: retransmissions and the re-key compose, and every session is
+/// still byte-identical to its references.
+#[test]
+fn shard_kill_over_a_lossy_link_recovers_byte_identical() {
+    let sim = shard_kill_scenario(LinkFaults::ci());
+    let report = run_sim(&ci_pipeline(&sim), &sim).unwrap();
+    assert!(
+        report.is_deterministic(),
+        "kill over a lossy link diverged:\n{}",
+        report.mismatches.join("\n")
+    );
+    assert!(!report.migrations.is_empty(), "the kill migrated a session");
+    assert!(report.frames_dropped > 0, "drops were injected");
+    assert!(report.retransmissions > 0, "losses forced retransmissions");
+    assert!(report.transport_errors > 0, "faults were counted");
 }

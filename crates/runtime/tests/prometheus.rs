@@ -1,16 +1,17 @@
 //! Golden test of `render_prometheus()`: the metric names, label keys and
 //! line grammar are a scrape contract that must not drift silently.
 //!
-//! The telemetry under test is built with the simulation harness's
-//! `VirtualClock`, so every latency sample — and therefore every rendered
-//! line — is bit-stable across runs and machines.
+//! The telemetry under test is built from fixed durations, so every
+//! latency sample — and therefore every rendered line — is bit-stable
+//! across runs and machines.
 
 use asv::FrameKind;
 use asv_runtime::{
     render_prometheus, AggregateTelemetry, QosTelemetry, SessionTelemetry, Stage,
-    TransportErrorKind, VirtualClock,
+    TransportErrorKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
 /// Deterministic per-stage totals (nanoseconds) of one key frame.
 fn key_stage_totals() -> [u64; Stage::COUNT] {
@@ -32,29 +33,16 @@ fn non_key_stage_totals() -> [u64; Stage::COUNT] {
     totals
 }
 
-/// Builds the fixed two-shard telemetry fixture, latencies injected from a
-/// virtual clock.
+/// Builds the fixed two-shard telemetry fixture with injected latencies.
 fn fixture() -> Vec<AggregateTelemetry> {
-    let mut clock = VirtualClock::new();
+    let us = Duration::from_micros;
     let mut cam_a = SessionTelemetry {
         frames_submitted: 4,
         ..SessionTelemetry::default()
     };
-    cam_a.record_frame(
-        FrameKind::KeyFrame,
-        clock.advance_us(9_000),
-        clock.advance_us(120),
-    );
-    cam_a.record_frame(
-        FrameKind::NonKeyFrame,
-        clock.advance_us(2_500),
-        clock.advance_us(80),
-    );
-    cam_a.record_frame(
-        FrameKind::NonKeyFrame,
-        clock.advance_us(2_700),
-        clock.advance_us(60),
-    );
+    cam_a.record_frame(FrameKind::KeyFrame, us(9_000), us(120));
+    cam_a.record_frame(FrameKind::NonKeyFrame, us(2_500), us(80));
+    cam_a.record_frame(FrameKind::NonKeyFrame, us(2_700), us(60));
     cam_a.frames_shed = 1;
     cam_a.queue_depth.observe(2);
     cam_a.queue_depth.observe(1);
@@ -79,11 +67,7 @@ fn fixture() -> Vec<AggregateTelemetry> {
         frames_submitted: 2,
         ..SessionTelemetry::default()
     };
-    cam_b.record_frame(
-        FrameKind::KeyFrame,
-        clock.advance_us(11_000),
-        clock.advance_us(400),
-    );
+    cam_b.record_frame(FrameKind::KeyFrame, us(11_000), us(400));
     cam_b.frames_dropped = 1;
     cam_b.queue_depth.observe(1);
     cam_b.stage_latency.record_frame_totals(&key_stage_totals());
@@ -98,7 +82,8 @@ fn fixture() -> Vec<AggregateTelemetry> {
     shard0.transport_errors[TransportErrorKind::Io.index()] = 1;
     let mut shard1 = AggregateTelemetry::default();
     shard1.absorb_named(&cam_b, "cam-b");
-    shard1.wall_seconds = clock.now_seconds();
+    // The sum of every latency above.
+    shard1.wall_seconds = 0.025_86;
     // Faults counted on another shard's aggregate must sum into the same
     // cluster-wide (shard-less) transport family.
     shard1.transport_errors[TransportErrorKind::Crc.index()] = 1;

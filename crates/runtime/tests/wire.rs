@@ -1,22 +1,21 @@
 //! Wire-format fuzz, property and allocation tests.
 //!
 //! Locked properties of `asv_runtime::wire`:
-//! * `decode(encode(frame))` round-trips byte-identically — key, sequence
-//!   number and both planes;
+//! * validating an encoded frame and filling its planes round-trips
+//!   byte-identically — key, sequence number and both planes;
 //! * every single-byte corruption of a valid message is rejected with a
 //!   structured [`AsvError::Wire`], never a panic;
 //! * truncation at *every* byte boundary is rejected;
 //! * oversized length prefixes and version/magic mismatches map to their
 //!   dedicated [`WireFault`] variants;
-//! * steady-state decoding out of a warm [`BufferPool`] performs **zero**
-//!   heap allocations (the acceptance criterion of the networked-transport
-//!   tentpole), proven with the counting allocator installed globally.
+//! * the server's steady-state decode (validate, then fill pre-sized
+//!   planes) performs **zero** heap allocations, proven with the counting
+//!   allocator installed globally.
 
 use asv::error::WireFault;
 use asv::AsvError;
 use asv_image::Image;
 use asv_mem::alloc_count::{self, CountingAllocator};
-use asv_mem::BufferPool;
 use asv_runtime::wire::{self, HEADER_BYTES, MAX_MESSAGE_BYTES};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -67,6 +66,16 @@ fn encoded(key: &str, seq: u64, width: usize, height: usize) -> Vec<u8> {
     out
 }
 
+/// Validates `bytes` as a frame and fills fresh planes from it, returning
+/// the key, sequence number and both planes.
+fn decode(bytes: &[u8]) -> Result<(&str, u64, Image, Image), AsvError> {
+    let frame = wire::validate(bytes, MAX_MESSAGE_BYTES)?;
+    let mut left = Image::zeros(frame.width, frame.height);
+    let mut right = Image::zeros(frame.width, frame.height);
+    frame.fill_planes(&mut left, &mut right)?;
+    Ok((frame.key, frame.seq, left, right))
+}
+
 fn wire_fault(error: AsvError) -> WireFault {
     match error {
         AsvError::Wire { fault, .. } => fault,
@@ -81,12 +90,11 @@ fn round_trip_preserves_every_field() {
     let right = plane(13, 7, 500.0);
     let mut bytes = Vec::new();
     wire::encode_frame_into(&mut bytes, "cam-3/front", 42, &left, &right).unwrap();
-    let mut pool = BufferPool::new();
-    let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
-    assert_eq!(frame.key, "cam-3/front");
-    assert_eq!(frame.seq, 42);
-    assert_eq!(frame.left.as_slice(), left.as_slice());
-    assert_eq!(frame.right.as_slice(), right.as_slice());
+    let (key, seq, decoded_left, decoded_right) = decode(&bytes).unwrap();
+    assert_eq!(key, "cam-3/front");
+    assert_eq!(seq, 42);
+    assert_eq!(decoded_left.as_slice(), left.as_slice());
+    assert_eq!(decoded_right.as_slice(), right.as_slice());
 }
 
 #[test]
@@ -267,9 +275,9 @@ fn restamp_crc(bytes: &mut [u8]) {
     bytes[28..32].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The tentpole acceptance criterion: once the reusable encode buffer and
-/// the plane pool have been warmed by one frame, the whole
-/// encode → validate → decode cycle runs with zero heap allocations.
+/// Once the reusable encode buffer has been warmed by one frame, the
+/// server's whole encode → validate → fill-planes cycle, into planes sized
+/// like the recycled ones it decodes into, runs with zero heap allocations.
 #[test]
 fn warm_pool_decode_performs_zero_allocations() {
     let _serial = serial();
@@ -278,29 +286,27 @@ fn warm_pool_decode_performs_zero_allocations() {
     let left = plane(width, height, 0.0);
     let right = plane(width, height, 250.0);
     let mut bytes = Vec::new();
-    let mut pool = BufferPool::new();
+    let mut dst_left = Image::zeros(width, height);
+    let mut dst_right = Image::zeros(width, height);
 
-    // Warm-up: grows the encode buffer and seeds the pool with two
-    // plane-sized buffers.
+    // Warm-up: grows the encode buffer to its final size.
     wire::encode_frame_into(&mut bytes, "warm", 0, &left, &right).unwrap();
-    let warm = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
-    pool.put(warm.left.into_vec());
-    pool.put(warm.right.into_vec());
 
     settle();
     let before = alloc_count::allocations();
     for seq in 1..=16u64 {
         wire::encode_frame_into(&mut bytes, "warm", seq, &left, &right).unwrap();
-        let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
+        let frame = wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap();
         assert_eq!(frame.seq, seq);
-        pool.put(frame.left.into_vec());
-        pool.put(frame.right.into_vec());
+        frame.fill_planes(&mut dst_left, &mut dst_right).unwrap();
     }
     let allocs = alloc_count::allocations() - before;
     assert_eq!(
         allocs, 0,
         "steady-state encode/decode allocated {allocs} times over 16 frames"
     );
+    assert_eq!(dst_left.as_slice(), left.as_slice());
+    assert_eq!(dst_right.as_slice(), right.as_slice());
 }
 
 /// The `fill_planes` server path (decoding into recycled shard images) is
@@ -332,8 +338,8 @@ fn fill_planes_reuses_caller_images_without_allocating() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// decode(encode(frame)) is the identity on key, sequence and pixels,
-    /// for arbitrary dimensions, keys and plane contents.
+    /// Decoding an encoded frame is the identity on key, sequence and
+    /// pixels, for arbitrary dimensions, keys and plane contents.
     #[test]
     fn encode_decode_round_trips_byte_identically(
         seq in 0u64..u64::MAX,
@@ -349,12 +355,11 @@ proptest! {
         let mut bytes = Vec::new();
         wire::encode_frame_into(&mut bytes, &key, seq, &left, &right).unwrap();
         prop_assert_eq!(bytes.len(), wire::encoded_len(&key, width, height));
-        let mut pool = BufferPool::new();
-        let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
-        prop_assert_eq!(frame.key, key.as_str());
-        prop_assert_eq!(frame.seq, seq);
-        prop_assert_eq!(frame.left.as_slice(), left.as_slice());
-        prop_assert_eq!(frame.right.as_slice(), right.as_slice());
+        let (decoded_key, decoded_seq, decoded_left, decoded_right) = decode(&bytes).unwrap();
+        prop_assert_eq!(decoded_key, key.as_str());
+        prop_assert_eq!(decoded_seq, seq);
+        prop_assert_eq!(decoded_left.as_slice(), left.as_slice());
+        prop_assert_eq!(decoded_right.as_slice(), right.as_slice());
     }
 
     /// Random byte-flips of a valid message never decode successfully and
@@ -370,7 +375,6 @@ proptest! {
         let at = ((bytes.len() as f64 - 1.0) * at_fraction) as usize;
         let mut mangled = bytes;
         mangled[at] ^= u8::try_from(mask).expect("mask < 256");
-        let mut pool = BufferPool::new();
-        prop_assert!(wire::decode_frame(&mangled, MAX_MESSAGE_BYTES, &mut pool).is_err());
+        prop_assert!(decode(&mangled).is_err());
     }
 }

@@ -624,14 +624,6 @@ impl KernelTimings {
         self.entries.push((stage, start, duration, extra_depth));
     }
 
-    /// Measures `body` and stages it as one span of `stage`.
-    pub fn measure<R>(&mut self, stage: Stage, extra_depth: u8, body: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = body();
-        self.record(stage, start, start.elapsed(), extra_depth);
-        result
-    }
-
     /// The staged entries, in recording order.
     pub fn entries(&self) -> &[(Stage, Instant, Duration, u8)] {
         &self.entries
@@ -810,8 +802,7 @@ mod tests {
             timings.entries.capacity()
         };
         assert_eq!(capacity, MAX_KERNEL_TIMINGS);
-        let value = timings.measure(Stage::Refine, 0, || 41 + 1);
-        assert_eq!(value, 42);
+        timings.record(Stage::Refine, start, Duration::ZERO, 0);
         assert_eq!(timings.entries().len(), 1);
     }
 }
