@@ -25,7 +25,7 @@ use crate::field::{FlowError, FlowField};
 use crate::Result;
 use asv_image::gaussian::{blur_in_place, gaussian_kernel, separable_filter_into};
 use asv_image::pyramid::Pyramid;
-use asv_image::Image;
+use asv_image::{Bilinear, Image};
 use asv_trace::{KernelTimings, Stage};
 use serde::{Deserialize, Serialize};
 
@@ -79,6 +79,11 @@ impl PolyExpansion {
     /// Height of the expanded image.
     pub fn height(&self) -> usize {
         self.a11.height()
+    }
+
+    /// The five coefficient planes, in the order `a11, a12, a22, b1, b2`.
+    fn planes(&self) -> [&Image; 5] {
+        [&self.a11, &self.a12, &self.a22, &self.b1, &self.b2]
     }
 
     /// An empty expansion (0×0 planes, no allocation); populated by
@@ -147,8 +152,9 @@ impl KernelCache {
                 w * d * d
             })
             .collect(); // lint: alloc-ok(kernel-cache fill, amortized)
-                        // The zeroth moment filter is the kernel itself; it is moved, not
-                        // cloned.
+
+        // The zeroth moment filter is the kernel itself; it is moved, not
+        // cloned.
         self.k0 = kernel;
         self.ginv = normal_matrix_inverse(sigma);
         self.poly_for = Some(sigma);
@@ -194,11 +200,9 @@ pub struct FlowWorkspace {
     solve: Vec<[f32; 5]>,
     tmp: Image,
     tmp2: Image,
-    g11: Image,
-    g12: Image,
-    g22: Image,
-    h1: Image,
-    h2: Image,
+    /// The per-pixel system `G d = h` of the matrix update, as the planes
+    /// `g11, g12, g22, h1, h2`.
+    system: [Image; 5],
     /// Flow double buffer; after a successful [`farneback_flow_with`] call
     /// `flow_a` holds the final estimate.
     flow_a: FlowField,
@@ -223,11 +227,7 @@ impl FlowWorkspace {
             solve: Vec::new(),
             tmp: Image::default(),
             tmp2: Image::default(),
-            g11: Image::default(),
-            g12: Image::default(),
-            g22: Image::default(),
-            h1: Image::default(),
-            h2: Image::default(),
+            system: std::array::from_fn(|_| Image::default()),
             flow_a: FlowField::zeros(0, 0),
             flow_b: FlowField::zeros(0, 0),
             timings: KernelTimings::new(),
@@ -480,82 +480,72 @@ fn polynomial_expansion_into(
 ///
 /// Implements the matrix-update stage (assembling `G`, `h` per pixel), the
 /// Gaussian-blur aggregation and the compute-flow stage (solving the 2×2
-/// system) described in the module documentation.  `g11`..`h2` are the five
-/// matrix planes (blurred in place with `tmp` as intermediate) and `out`
-/// receives the refined flow.
-#[allow(clippy::too_many_arguments)]
+/// system) described in the module documentation.  `system` holds the five
+/// planes of `G d = h` (blurred in place with `tmp` as intermediate) and
+/// `out` receives the refined flow.  Every stage runs over row or plane
+/// slices, with each pixel's arithmetic in a fixed order.
 fn refine_displacement_into(
     exp0: &PolyExpansion,
     exp1: &PolyExpansion,
     prior: &FlowField,
     blur_kernel: &[f32],
-    g11: &mut Image,
-    g12: &mut Image,
-    g22: &mut Image,
-    h1: &mut Image,
-    h2: &mut Image,
+    system: &mut [Image; 5],
     tmp: &mut Image,
     out: &mut FlowField,
 ) {
-    let width = exp0.width();
-    let height = exp0.height();
-    // The matrix-update loop assigns every pixel of all five planes.
-    g11.reshape_scratch(width, height);
-    g12.reshape_scratch(width, height);
-    g22.reshape_scratch(width, height);
-    h1.reshape_scratch(width, height);
-    h2.reshape_scratch(width, height);
+    let (width, height) = (exp0.width(), exp0.height());
+    let (prior_u, prior_v) = (prior.u().as_slice(), prior.v().as_slice());
+    let exp0 = exp0.planes().map(Image::as_slice);
+    let exp1 = exp1.planes().map(Image::as_slice);
 
-    // --- Matrix update (point-wise) ---
+    // --- Matrix update (point-wise; assigns every pixel of all five planes) ---
+    for g in system.iter_mut() {
+        g.reshape_scratch(width, height);
+    }
     for y in 0..height {
+        let (start, end) = (y * width, (y + 1) * width);
+        let (pu, pv) = (&prior_u[start..end], &prior_v[start..end]);
+        let [a11_0, a12_0, a22_0, b1_0, b2_0] = exp0.map(|p| &p[start..end]);
+        let [g11, g12, g22, h1, h2] = system.each_mut().map(|g| &mut g.as_mut_slice()[start..end]);
         for x in 0..width {
-            let (du, dv) = prior.at(x, y);
-            let sx = x as f32 + du;
-            let sy = y as f32 + dv;
-            // Average the quadratic terms of the two expansions; sample the
-            // second frame's expansion at the displaced position.
-            let a11 = 0.5 * (exp0.a11.at(x, y) + exp1.a11.sample_bilinear(sx, sy));
-            let a12 = 0.5 * (exp0.a12.at(x, y) + exp1.a12.sample_bilinear(sx, sy));
-            let a22 = 0.5 * (exp0.a22.at(x, y) + exp1.a22.sample_bilinear(sx, sy));
-            let db1 =
-                -0.5 * (exp1.b1.sample_bilinear(sx, sy) - exp0.b1.at(x, y)) + a11 * du + a12 * dv;
-            let db2 =
-                -0.5 * (exp1.b2.sample_bilinear(sx, sy) - exp0.b2.at(x, y)) + a12 * du + a22 * dv;
+            let (du, dv) = (pu[x], pv[x]);
+            // One bilinear footprint at the displaced position samples all
+            // five planes of the second frame's expansion.
+            let at = Bilinear::new(width, height, x as f32 + du, y as f32 + dv);
+            let [a11_1, a12_1, a22_1, b1_1, b2_1] = exp1.map(|p| at.sample(p));
+            // Average the quadratic terms of the two expansions.
+            let a11 = 0.5 * (a11_0[x] + a11_1);
+            let a12 = 0.5 * (a12_0[x] + a12_1);
+            let a22 = 0.5 * (a22_0[x] + a22_1);
+            let db1 = -0.5 * (b1_1 - b1_0[x]) + a11 * du + a12 * dv;
+            let db2 = -0.5 * (b2_1 - b2_0[x]) + a12 * du + a22 * dv;
             // Normal equations of A d = Δb.
-            g11.set(x, y, a11 * a11 + a12 * a12);
-            g12.set(x, y, a11 * a12 + a12 * a22);
-            g22.set(x, y, a12 * a12 + a22 * a22);
-            h1.set(x, y, a11 * db1 + a12 * db2);
-            h2.set(x, y, a12 * db1 + a22 * db2);
+            g11[x] = a11 * a11 + a12 * a12;
+            g12[x] = a11 * a12 + a12 * a22;
+            g22[x] = a12 * a12 + a22 * a22;
+            h1[x] = a11 * db1 + a12 * db2;
+            h2[x] = a12 * db1 + a22 * db2;
         }
     }
 
     // --- Gaussian blur aggregation (convolution) ---
-    blur_in_place(g11, blur_kernel, tmp);
-    blur_in_place(g12, blur_kernel, tmp);
-    blur_in_place(g22, blur_kernel, tmp);
-    blur_in_place(h1, blur_kernel, tmp);
-    blur_in_place(h2, blur_kernel, tmp);
+    for g in system.iter_mut() {
+        blur_in_place(g, blur_kernel, tmp);
+    }
 
-    // --- Compute flow (point-wise 2x2 solve; every pixel assigned) ---
+    // --- Compute flow (point-wise 2x2 solve; assigns every pixel) ---
     out.reshape_scratch(width, height);
-    for y in 0..height {
-        for x in 0..width {
-            let a = g11.at(x, y);
-            let b = g12.at(x, y);
-            let c = g22.at(x, y);
-            let det = a * c - b * b;
-            if det.abs() < 1e-9 {
-                let (pu, pv) = prior.at(x, y);
-                out.set(x, y, pu, pv);
-                continue;
-            }
-            let r1 = h1.at(x, y);
-            let r2 = h2.at(x, y);
-            let du = (c * r1 - b * r2) / det;
-            let dv = (a * r2 - b * r1) / det;
-            out.set(x, y, du, dv);
-        }
+    let (out_u, out_v) = out.components_mut();
+    let [g11, g12, g22, h1, h2] = system.each_ref().map(Image::as_slice);
+    for i in 0..width * height {
+        let (a, b, c) = (g11[i], g12[i], g22[i]);
+        let det = a * c - b * b;
+        // A singular system keeps the prior displacement.
+        (out_u[i], out_v[i]) = if det.abs() < 1e-9 {
+            (prior_u[i], prior_v[i])
+        } else {
+            ((c * h1[i] - b * h2[i]) / det, (a * h2[i] - b * h1[i]) / det)
+        };
     }
 }
 
@@ -655,11 +645,7 @@ pub fn farneback_flow_with(
             solve,
             tmp,
             tmp2,
-            g11,
-            g12,
-            g22,
-            h1,
-            h2,
+            system,
             flow_a,
             flow_b,
             ..
@@ -676,19 +662,7 @@ pub fn farneback_flow_with(
             std::mem::swap(flow_a, flow_b);
         }
         for _ in 0..params.iterations {
-            refine_displacement_into(
-                exp0,
-                exp1,
-                flow_a,
-                &kernels.blur,
-                g11,
-                g12,
-                g22,
-                h1,
-                h2,
-                tmp2,
-                flow_b,
-            );
+            refine_displacement_into(exp0, exp1, flow_a, &kernels.blur, system, tmp2, flow_b);
             std::mem::swap(flow_a, flow_b);
         }
     }
@@ -729,8 +703,24 @@ impl FlowOpBreakdown {
     }
 }
 
+/// The level sizes [`Pyramid::rebuild`] builds for a `width × height` frame:
+/// level 0 always, then halvings while both halves stay at least
+/// `min_level_size` (and at least 1), up to `pyramid_levels` levels.
+fn pyramid_level_sizes(
+    width: usize,
+    height: usize,
+    params: &FarnebackParams,
+) -> impl Iterator<Item = (usize, usize)> {
+    let min = params.min_level_size.max(1);
+    std::iter::successors(Some((width, height)), move |&(w, h)| {
+        (w / 2 >= min && h / 2 >= min).then_some((w / 2, h / 2))
+    })
+    .take(params.pyramid_levels)
+}
+
 /// Analytical operation count of [`farneback_flow`] for a frame of the given
-/// size, mirroring the loop structure of the implementation.
+/// size, mirroring the loop structure of the implementation over the levels
+/// its pyramid builds.
 pub fn farneback_op_breakdown(
     width: usize,
     height: usize,
@@ -742,13 +732,8 @@ pub fn farneback_op_breakdown(
     let mut solve = 0u64;
     let poly_taps = gaussian_kernel(params.poly_sigma).len() as u64;
     let blur_taps = gaussian_kernel(params.blur_sigma).len() as u64;
-    let mut w = width as u64;
-    let mut h = height as u64;
-    for _level in 0..params.pyramid_levels {
-        if w < params.min_level_size as u64 || h < params.min_level_size as u64 {
-            break;
-        }
-        let pixels = w * h;
+    for (w, h) in pyramid_level_sizes(width, height, params) {
+        let pixels = (w * h) as u64;
         // Polynomial expansion: 6 separable moment filters per frame, 2 frames,
         // each separable filter is 2 passes of `taps` MACs per pixel, plus the
         // 6x6 back-substitution (36 MACs) per pixel and frame.
@@ -762,8 +747,6 @@ pub fn farneback_op_breakdown(
             // Compute flow: 2x2 solve, ~12 ops per pixel.
             solve += 12 * pixels;
         }
-        w /= 2;
-        h /= 2;
     }
     FlowOpBreakdown {
         blur_ops: blur,
@@ -906,6 +889,125 @@ mod tests {
             &FarnebackParams::default()
         )
         .is_err());
+    }
+
+    /// SplitMix64: a seeded, dependency-free source of test inputs.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `[0, 1)` drawn from `state`.
+    fn unit(state: &mut u64) -> f32 {
+        (splitmix(state) >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    /// Two octaves of smoothstep value noise over a seeded lattice, built
+    /// from `+ - * /` only so the input bits do not depend on a libm.
+    fn value_noise(seed: u64, x: f32, y: f32) -> f32 {
+        let octave = |cell: f32, salt: u64| {
+            let (gx, gy) = (x / cell, y / cell);
+            let (x0, y0) = (gx.floor(), gy.floor());
+            let smooth = |t: f32| t * t * (3.0 - 2.0 * t);
+            let (fx, fy) = (smooth(gx - x0), smooth(gy - y0));
+            let lattice = |ix: f32, iy: f32| {
+                let mut s = seed ^ salt ^ ((ix as i64 as u64) << 32) ^ (iy as i64 as u64);
+                unit(&mut s)
+            };
+            let top = lattice(x0, y0) * (1.0 - fx) + lattice(x0 + 1.0, y0) * fx;
+            let bottom = lattice(x0, y0 + 1.0) * (1.0 - fx) + lattice(x0 + 1.0, y0 + 1.0) * fx;
+            top * (1.0 - fy) + bottom * fy
+        };
+        0.7 * octave(7.0, 0x51) + 0.3 * octave(2.5, 0xa7)
+    }
+
+    /// A seeded frame pair whose true motion is non-integer and varies
+    /// across the frame (an affine field), so sampling lands between pixels
+    /// and, near the edges, outside the frame.
+    fn seeded_pair(width: usize, height: usize, seed: u64) -> (Image, Image) {
+        let mut s = seed;
+        let u0 = 3.0 * unit(&mut s) - 1.5;
+        let v0 = 3.0 * unit(&mut s) - 1.5;
+        let (ux, uy) = (unit(&mut s) - 0.5, unit(&mut s) - 0.5);
+        let (vx, vy) = (unit(&mut s) - 0.5, unit(&mut s) - 0.5);
+        let (w, h) = (width as f32, height as f32);
+        let frame0 = Image::from_fn(width, height, |x, y| value_noise(seed, x as f32, y as f32));
+        let frame1 = Image::from_fn(width, height, |x, y| {
+            let (xf, yf) = (x as f32, y as f32);
+            let u = u0 + 2.0 * (ux * xf / w + uy * yf / h);
+            let v = v0 + 2.0 * (vx * xf / w + vy * yf / h);
+            value_noise(seed, xf - u, yf - v)
+        });
+        (frame0, frame1)
+    }
+
+    /// 64-bit FNV-1a over the bit patterns of the given planes.
+    fn fnv1a(planes: &[&Image]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for plane in planes {
+            for value in plane.as_slice() {
+                for byte in value.to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// Pins the exact output bits of the flow and of one expansion.  A kernel
+    /// rewrite that claims byte-identical output must leave these hashes
+    /// alone; an output-changing one must be gated on accuracy instead.  The
+    /// Gaussian kernels use the platform `exp`, so the values assume an IEEE
+    /// `expf` that rounds as the common libms do.
+    #[test]
+    fn flow_and_expansion_bits_are_pinned() {
+        let params = FarnebackParams::default();
+        let mut hashes = Vec::new();
+        for (width, height, seed) in [(64, 48, 1), (71, 53, 2)] {
+            let (frame0, frame1) = seeded_pair(width, height, seed);
+            let pyramid =
+                Pyramid::build(&frame0, params.pyramid_levels, params.min_level_size).unwrap();
+            assert_eq!(pyramid.num_levels(), 3, "{width}x{height}");
+            let flow = farneback_flow(&frame0, &frame1, &params).unwrap();
+            hashes.push(fnv1a(&[flow.u(), flow.v()]));
+        }
+        let (frame0, _) = seeded_pair(71, 53, 2);
+        let exp = polynomial_expansion(&frame0, params.poly_sigma).unwrap();
+        hashes.push(fnv1a(&exp.planes()));
+        let expected: [u64; 3] = [
+            0x9244_83d0_f6ed_06c9,
+            0xd06a_6b4c_9ae1_b632,
+            0x7670_80d3_9545_2714,
+        ];
+        assert_eq!(hashes, expected, "got {hashes:#018x?}");
+    }
+
+    #[test]
+    fn op_breakdown_models_the_levels_the_pyramid_builds() {
+        let params = FarnebackParams::default();
+        let sizes = [8, 11, 12, 23, 24, 25].map(|n| (n, n));
+        for (width, height) in sizes.into_iter().chain([(320, 180), (960, 540)]) {
+            let frame = Image::filled(width, height, 0.5);
+            let pyramid =
+                Pyramid::build(&frame, params.pyramid_levels, params.min_level_size).unwrap();
+            let modelled: Vec<_> = pyramid_level_sizes(width, height, &params).collect();
+            let built: Vec<_> = (0..pyramid.num_levels())
+                .map(|i| (pyramid.level(i).width(), pyramid.level(i).height()))
+                .collect();
+            assert_eq!(modelled, built, "{width}x{height}");
+            // The per-pixel compute-flow count sums exactly those levels.
+            let pixels: usize = built.iter().map(|(w, h)| w * h).sum();
+            let ops = farneback_op_breakdown(width, height, &params);
+            assert_eq!(
+                ops.compute_flow_ops,
+                (12 * params.iterations * pixels) as u64,
+                "{width}x{height}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Dense displacement fields and their quality metrics.
 
-use asv_image::Image;
+use asv_image::{Bilinear, Image};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -165,9 +165,24 @@ impl FlowField {
         self.v.set(x, y, v);
     }
 
-    /// Bilinearly sampled displacement at a real-valued coordinate.
+    /// The row-major pixel buffers of both components, mutable at once, for
+    /// kernels that write `u` and `v` in the same pass.
+    pub(crate) fn components_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.u.as_mut_slice(), self.v.as_mut_slice())
+    }
+
+    /// Bilinearly sampled displacement at a real-valued coordinate, with
+    /// border clamping; one [`Bilinear`] footprint serves both components.
+    /// `(0, 0)` for an empty field.
     pub fn sample(&self, x: f32, y: f32) -> (f32, f32) {
-        (self.u.sample_bilinear(x, y), self.v.sample_bilinear(x, y))
+        if self.u.is_empty() {
+            return (0.0, 0.0);
+        }
+        let footprint = Bilinear::new(self.width(), self.height(), x, y);
+        (
+            footprint.sample(self.u.as_slice()),
+            footprint.sample(self.v.as_slice()),
+        )
     }
 
     /// Average end-point error against a ground-truth field of the same size.
@@ -247,15 +262,19 @@ impl FlowField {
             out.reset_zeros(new_width, new_height);
             return;
         }
-        let sx = new_width as f32 / self.width() as f32;
-        let sy = new_height as f32 / self.height() as f32;
+        let (width, height) = (self.width(), self.height());
+        let sx = new_width as f32 / width as f32;
+        let sy = new_height as f32 / height as f32;
+        let (u, v) = (self.u.as_slice(), self.v.as_slice());
         // Every pixel is assigned below, so the planes need no fill.
         out.reshape_scratch(new_width, new_height);
+        let (out_u, out_v) = out.components_mut();
         for y in 0..new_height {
             for x in 0..new_width {
-                let u = self.u.sample_bilinear(x as f32 / sx, y as f32 / sy) * sx;
-                let v = self.v.sample_bilinear(x as f32 / sx, y as f32 / sy) * sy;
-                out.set(x, y, u, v);
+                let footprint = Bilinear::new(width, height, x as f32 / sx, y as f32 / sy);
+                let i = y * new_width + x;
+                out_u[i] = footprint.sample(u) * sx;
+                out_v[i] = footprint.sample(v) * sy;
             }
         }
     }

@@ -31,11 +31,14 @@ pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 /// Horizontal 1-D convolution with border clamping, writing into a reusable
 /// output image.
 ///
-/// The interior of each row (where the window never leaves the image) runs
-/// as a contiguous slice dot product with no clamping or bounds checks; only
-/// the `radius` pixels at each border take the clamped path.  Tap order and
-/// per-pixel arithmetic match the naive reference exactly, so the output is
-/// bit-identical.
+/// The interior of each row (where the window never leaves the image) is
+/// computed tap by tap, the way [`convolve_vertical_into`] computes whole
+/// rows: it starts at zero and each tap `i` adds `k[i] * src[x - r + i]`
+/// across the interior in one contiguous, auto-vectorizable pass.  Only the
+/// `radius` pixels at each border read through clamped indices.  Every
+/// pixel accumulates its taps in kernel order starting from 0.0, exactly as
+/// the naive per-pixel clamped loop does, so the output is bit-identical to
+/// it.
 fn convolve_horizontal_into(image: &Image, kernel: &[f32], out: &mut Image) {
     let radius = kernel.len() / 2;
     let width = image.width();
@@ -52,27 +55,25 @@ fn convolve_horizontal_into(image: &Image, kernel: &[f32], out: &mut Image) {
         }
         acc
     };
+    // Width of the interior, where the whole window lies inside the row.
+    let interior = width.saturating_sub(2 * radius);
     for y in 0..height {
         let src = &src_all[y * width..][..width];
         let dst = &mut dst_all[y * width..][..width];
-        if width > 2 * radius {
-            for (x, slot) in dst.iter_mut().enumerate().take(radius) {
-                *slot = clamped(src, x);
-            }
-            for x in radius..width - radius {
-                let window = &src[x - radius..x - radius + kernel.len()];
-                let mut acc = 0.0;
-                for (&k, &v) in kernel.iter().zip(window) {
-                    acc += k * v;
-                }
-                dst[x] = acc;
-            }
-            for (x, slot) in dst.iter_mut().enumerate().skip(width - radius) {
-                *slot = clamped(src, x);
-            }
-        } else {
+        if interior == 0 {
             for (x, slot) in dst.iter_mut().enumerate() {
                 *slot = clamped(src, x);
+            }
+            continue;
+        }
+        for x in (0..radius).chain(width - radius..width) {
+            dst[x] = clamped(src, x);
+        }
+        let inner = &mut dst[radius..][..interior];
+        inner.fill(0.0);
+        for (i, &k) in kernel.iter().enumerate() {
+            for (slot, &value) in inner.iter_mut().zip(&src[i..][..interior]) {
+                *slot += k * value;
             }
         }
     }
@@ -212,6 +213,84 @@ mod tests {
                 / im.len() as f32
         };
         assert!(var(&out) < 0.2 * var(&img));
+    }
+
+    /// The naive per-pixel 1-D convolution: taps in kernel order from 0.0,
+    /// every read through a clamped index.  `(dx, dy)` is the axis.
+    fn naive_pass(image: &Image, kernel: &[f32], (dx, dy): (isize, isize)) -> Image {
+        let radius = (kernel.len() / 2) as isize;
+        Image::from_fn(image.width(), image.height(), |x, y| {
+            let mut acc = 0.0;
+            for (i, &k) in kernel.iter().enumerate() {
+                let t = i as isize - radius;
+                acc += k * image.at_clamped(x as isize + t * dx, y as isize + t * dy);
+            }
+            acc
+        })
+    }
+
+    fn bits(image: &Image) -> Vec<u32> {
+        image.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Gaussian and first-moment (`w(t) · t`, signed, zero centre tap)
+    /// kernels of radius 3, 4 and 6.
+    fn reference_kernels() -> Vec<Vec<f32>> {
+        let mut kernels = Vec::new();
+        for sigma in [1.0, 1.2, 2.0] {
+            let gauss = gaussian_kernel(sigma);
+            let radius = (gauss.len() / 2) as isize;
+            let moment = gauss
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| w * (i as isize - radius) as f32)
+                .collect();
+            kernels.push(gauss);
+            kernels.push(moment);
+        }
+        kernels
+    }
+
+    /// Inputs of every size from 1 to `2r + 3` on both axes: irregular
+    /// signed values, and an all `-0.0` plane (a pass that seeded each pixel
+    /// with its first tap instead of 0.0 would leave `-0.0` there).
+    fn reference_inputs(radius: usize) -> Vec<Image> {
+        let max = 2 * radius + 3;
+        let mut inputs = Vec::new();
+        for width in 1..=max {
+            for height in 1..=max {
+                inputs.push(Image::from_fn(width, height, |x, y| {
+                    let k = (x * 7919 + y * 104_729 + width * 31) % 1013;
+                    (k as f32 - 506.0) * 0.013_7 + 1.0 / (1.0 + k as f32)
+                }));
+            }
+            inputs.push(Image::filled(width, 2, -0.0));
+        }
+        inputs
+    }
+
+    #[test]
+    fn convolution_passes_match_the_naive_clamped_loop_bit_for_bit() {
+        let mut tmp = Image::default();
+        let mut out = Image::default();
+        for kernel in reference_kernels() {
+            assert!([3, 4, 6].contains(&(kernel.len() / 2)));
+            for image in reference_inputs(kernel.len() / 2) {
+                let size = (image.width(), image.height());
+                let horizontal = naive_pass(&image, &kernel, (1, 0));
+                let both = naive_pass(&horizontal, &kernel, (0, 1));
+
+                convolve_horizontal_into(&image, &kernel, &mut out);
+                assert_eq!(bits(&out), bits(&horizontal), "horizontal {size:?}");
+
+                separable_filter_into(&image, &kernel, &kernel, &mut tmp, &mut out);
+                assert_eq!(bits(&out), bits(&both), "separable {size:?}");
+
+                let mut in_place = image.clone();
+                blur_in_place(&mut in_place, &kernel, &mut tmp);
+                assert_eq!(bits(&in_place), bits(&both), "in place {size:?}");
+            }
+        }
     }
 
     #[test]

@@ -247,23 +247,12 @@ impl Image {
     }
 
     /// Bilinearly interpolated value at a real-valued coordinate, with border
-    /// clamping.
+    /// clamping (see [`Bilinear`]); 0 for an empty image.
     pub fn sample_bilinear(&self, x: f32, y: f32) -> f32 {
-        if self.width == 0 || self.height == 0 {
+        if self.is_empty() {
             return 0.0;
         }
-        let x = x.clamp(0.0, (self.width - 1) as f32);
-        let y = y.clamp(0.0, (self.height - 1) as f32);
-        let x0 = x.floor() as usize;
-        let y0 = y.floor() as usize;
-        let x1 = (x0 + 1).min(self.width - 1);
-        let y1 = (y0 + 1).min(self.height - 1);
-        let dx = x - x0 as f32;
-        let dy = y - y0 as f32;
-        self.at(x0, y0) * (1.0 - dx) * (1.0 - dy)
-            + self.at(x1, y0) * dx * (1.0 - dy)
-            + self.at(x0, y1) * (1.0 - dx) * dy
-            + self.at(x1, y1) * dx * dy
+        Bilinear::new(self.width, self.height, x, y).sample(&self.data)
     }
 
     /// Sum of all pixel values.
@@ -343,6 +332,70 @@ impl Default for Image {
     }
 }
 
+/// The footprint of one bilinear sample in a row-major `width × height`
+/// plane: the flat indices of the four neighbouring pixels and the two
+/// interpolation fractions.
+///
+/// Computing the footprint once and applying it to several same-sized
+/// planes (the five expansion planes of Farneback's matrix update, the two
+/// components of a flow field) does the clamp, truncation and index work
+/// once per coordinate instead of once per plane.  Every bilinear read of an
+/// image plane goes through a footprint; [`Image::sample_bilinear`] is one
+/// applied to a single plane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bilinear {
+    i00: usize,
+    i10: usize,
+    i01: usize,
+    i11: usize,
+    dx: f32,
+    dy: f32,
+}
+
+impl Bilinear {
+    /// Footprint of the sample at `(x, y)`, with the coordinate clamped to
+    /// the plane.  `width` and `height` must be non-zero.
+    ///
+    /// A NaN coordinate maps to column (row) 0 with a NaN fraction, so the
+    /// sample is NaN rather than a panic.
+    #[inline]
+    pub fn new(width: usize, height: usize, x: f32, y: f32) -> Self {
+        let x = x.clamp(0.0, (width - 1) as f32);
+        let y = y.clamp(0.0, (height - 1) as f32);
+        // After the clamp a coordinate is non-negative, `-0.0` or NaN, and
+        // for all three the truncating cast equals `floor` (NaN casts to 0).
+        let x0 = x as usize;
+        let y0 = y as usize;
+        let x1 = (x0 + 1).min(width - 1);
+        let row0 = y0 * width;
+        let row1 = (y0 + 1).min(height - 1) * width;
+        Self {
+            i00: row0 + x0,
+            i10: row0 + x1,
+            i01: row1 + x0,
+            i11: row1 + x1,
+            dx: x - x0 as f32,
+            dy: y - y0 as f32,
+        }
+    }
+
+    /// The interpolated value of `plane`, a row-major buffer of the size the
+    /// footprint was made for, evaluated left to right as
+    /// `v00·(1−dx)·(1−dy) + v10·dx·(1−dy) + v01·(1−dx)·dy + v11·dx·dy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `plane` is smaller than that size.
+    #[inline]
+    pub fn sample(&self, plane: &[f32]) -> f32 {
+        let (dx, dy) = (self.dx, self.dy);
+        plane[self.i00] * (1.0 - dx) * (1.0 - dy)
+            + plane[self.i10] * dx * (1.0 - dy)
+            + plane[self.i01] * (1.0 - dx) * dy
+            + plane[self.i11] * dx * dy
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,6 +444,94 @@ mod tests {
         // Out of bounds clamps rather than panicking.
         assert_eq!(img.sample_bilinear(-3.0, -3.0), 0.0);
         assert_eq!(img.sample_bilinear(9.0, 9.0), 3.0);
+    }
+
+    /// The bilinear formula written out per sample: clamp, `floor`, four
+    /// bounds-checked reads, each weighted term evaluated left to right.
+    fn four_term_reference(img: &Image, x: f32, y: f32) -> f32 {
+        let x = x.clamp(0.0, (img.width() - 1) as f32);
+        let y = y.clamp(0.0, (img.height() - 1) as f32);
+        let x0 = x.floor() as usize;
+        let y0 = y.floor() as usize;
+        let x1 = (x0 + 1).min(img.width() - 1);
+        let y1 = (y0 + 1).min(img.height() - 1);
+        let dx = x - x0 as f32;
+        let dy = y - y0 as f32;
+        img.at(x0, y0) * (1.0 - dx) * (1.0 - dy)
+            + img.at(x1, y0) * dx * (1.0 - dy)
+            + img.at(x0, y1) * (1.0 - dx) * dy
+            + img.at(x1, y1) * dx * dy
+    }
+
+    /// Pixel values with a spread of magnitudes and signs, so a reordered
+    /// sum or a premultiplied weight would round differently.
+    fn irregular(width: usize, height: usize) -> Image {
+        Image::from_fn(width, height, |x, y| {
+            let k = (x * 7919 + y * 104_729) % 1013;
+            (k as f32 - 506.0) * 0.013_7 + 1.0 / (1.0 + k as f32)
+        })
+    }
+
+    fn assert_same_bits(img: &Image, x: f32, y: f32) {
+        let got = img.sample_bilinear(x, y);
+        let want = four_term_reference(img, x, y);
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{}x{} at ({x}, {y}): {got} vs {want}",
+            img.width(),
+            img.height()
+        );
+    }
+
+    #[test]
+    fn bilinear_matches_the_four_term_formula_bit_for_bit() {
+        for (width, height) in [(9, 7), (1, 6), (6, 1), (1, 1)] {
+            let img = irregular(width, height);
+            let (w, h) = ((width - 1) as f32, (height - 1) as f32);
+            let mut points = vec![
+                // Interior and on-grid points.
+                (0.25, 0.75),
+                (w * 0.37, h * 0.61),
+                (w * 0.5, h * 0.5),
+                (1.0, 1.0),
+                // The last column and row, and just inside them.
+                (w, h),
+                (w, h * 0.3),
+                (w * 0.3, h),
+                (w - 0.001, h - 0.001),
+                // Signed zero.
+                (-0.0, -0.0),
+                (-0.0, h * 0.5),
+                (w * 0.5, -0.0),
+            ];
+            // A sweep of irregular fractions, where a premultiplied or
+            // reordered weight would round differently.
+            for i in 0..64 {
+                let t = i as f32;
+                points.push((w * (t * 0.618_034).fract(), h * (t * 0.414_214).fract()));
+            }
+            // Beyond every edge and corner.
+            for dx in [-3.5, -1e-7, 0.0, w + 1e-3, w + 7.25] {
+                for dy in [-2.25, -1e-7, 0.0, h + 1e-3, h + 9.5] {
+                    points.push((dx, dy));
+                }
+            }
+            points.push((f32::NEG_INFINITY, f32::INFINITY));
+            for (x, y) in points {
+                assert_same_bits(&img, x, y);
+            }
+        }
+    }
+
+    #[test]
+    fn bilinear_at_nan_is_nan_without_panicking() {
+        for (width, height) in [(5, 4), (1, 4), (4, 1)] {
+            let img = irregular(width, height);
+            for (x, y) in [(f32::NAN, 1.5), (1.5, f32::NAN), (f32::NAN, f32::NAN)] {
+                assert!(img.sample_bilinear(x, y).is_nan());
+                assert_same_bits(&img, x, y);
+            }
+        }
     }
 
     #[test]

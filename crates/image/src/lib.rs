@@ -6,7 +6,8 @@
 //! crate provides the image container and the classic image-processing
 //! primitives those steps need:
 //!
-//! * [`Image`] — a single-channel `f32` image with bilinear sampling.
+//! * [`Image`] — a single-channel `f32` image, and [`Bilinear`], the one
+//!   bilinear sampling footprint every interpolated read goes through.
 //! * [`gaussian`] — separable Gaussian blur (the convolution the ASV hardware
 //!   maps onto its systolic array when processing non-key frames).
 //! * [`pyramid`] — Gaussian image pyramids used by the coarse-to-fine optical
@@ -32,7 +33,7 @@ pub mod image;
 pub mod pyramid;
 pub mod warp;
 
-pub use crate::image::{Image, ImageError};
+pub use crate::image::{Bilinear, Image, ImageError};
 pub use gaussian::{gaussian_blur, gaussian_kernel};
 
 /// Convenience result alias used across the crate.
