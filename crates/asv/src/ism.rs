@@ -468,14 +468,7 @@ fn propagate_and_refine_into(
     // Step 4: refine with a narrow block-matching search around the
     // propagated disparity.
     let refine_span = ws.tracer.enter(Stage::Refine);
-    refine_with_initial_into(
-        left,
-        right,
-        &ws.propagated,
-        &config.refine,
-        &mut ws.refine,
-        out,
-    )?;
+    refine_with_initial_into(left, right, &ws.propagated, &config.refine, out)?;
     ws.tracer.exit(refine_span);
     Ok(())
 }

@@ -20,20 +20,19 @@
 use asv_flow::farneback::FlowWorkspace;
 use asv_image::Image;
 use asv_mem::BufferPool;
-use asv_stereo::{DisparityMap, MatchScratch, SgmWorkspace};
+use asv_stereo::{DisparityMap, SgmWorkspace};
 use asv_trace::{TraceConfig, Tracer};
 
 /// Reusable per-stream scratch for the whole ISM frame path: optical flow
 /// (one workspace per camera view, so the two estimations can run
-/// concurrently), the key-frame SGM matcher, the non-key-frame refinement
-/// search and a pool of frame-sized planes that backs the returned disparity
-/// maps.
+/// concurrently), the key-frame SGM matcher, the propagated disparity map
+/// the non-key-frame refinement searches around, and a pool of frame-sized
+/// planes that backs the returned disparity maps.
 #[derive(Debug)]
 pub struct Workspace {
     pub(crate) flow_left: FlowWorkspace,
     pub(crate) flow_right: FlowWorkspace,
     pub(crate) stereo: SgmWorkspace,
-    pub(crate) refine: MatchScratch,
     pub(crate) propagated: DisparityMap,
     pub(crate) maps: BufferPool,
     /// Selection buffer of the adaptive key-frame policy's median-motion
@@ -70,7 +69,6 @@ impl Workspace {
             flow_left: FlowWorkspace::new(),
             flow_right: FlowWorkspace::new(),
             stereo: SgmWorkspace::new(),
-            refine: MatchScratch::new(),
             propagated: DisparityMap::invalid(0, 0),
             maps: BufferPool::new(),
             median_scratch: Vec::new(),

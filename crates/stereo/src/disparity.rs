@@ -55,7 +55,7 @@ impl StereoError {
 /// the stored disparity.
 ///
 /// Invalid pixels (occlusions, failed matches) are stored as negative values
-/// and excluded from the accuracy metrics.
+/// and excluded from the accuracy metrics; a NaN counts as invalid too.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct DisparityMap {
     values: Image,
@@ -151,14 +151,12 @@ impl DisparityMap {
         &self.values
     }
 
-    /// Disparity at `(x, y)`, or `None` if the pixel is invalid.
+    /// Disparity at `(x, y)`, or `None` if the pixel is invalid.  A pixel is
+    /// valid when its value is `>= 0.0`, the rule [`DisparityMap::valid_count`]
+    /// applies too, so a NaN is invalid everywhere.
     pub fn get(&self, x: usize, y: usize) -> Option<f32> {
         let v = self.values.at(x, y);
-        if v < 0.0 {
-            None
-        } else {
-            Some(v)
-        }
+        (v >= 0.0).then_some(v)
     }
 
     /// Raw stored value at `(x, y)` including the invalid marker.
@@ -323,6 +321,38 @@ mod tests {
         m.invalidate(1, 1);
         assert_eq!(m.get(1, 1), None);
         assert_eq!(m.raw(1, 1), INVALID_DISPARITY);
+    }
+
+    #[test]
+    fn nan_disparity_is_invalid_everywhere() {
+        let mut est = DisparityMap::constant(4, 1, 10.0);
+        est.set(0, 0, f32::NAN);
+        est.set(1, 0, 20.0);
+        assert_eq!(est.get(0, 0), None);
+        assert_eq!(est.valid_count(), 3);
+        // The NaN pixel is skipped, not counted as a correct match: one of
+        // the three comparable pixels is wrong.
+        let truth = DisparityMap::constant(4, 1, 10.0);
+        let rate = est.three_pixel_error(&truth).unwrap();
+        assert!((rate - 1.0 / 3.0).abs() < 1e-9, "{rate}");
+        let mae = est.mean_abs_error(&truth).unwrap();
+        assert!((mae - 10.0 / 3.0).abs() < 1e-9, "{mae}");
+        // Refinement treats a NaN initial disparity as missing and falls back
+        // to the full-range search, as for the invalid marker.
+        let right = Image::from_fn(24, 12, |x, y| ((x * 7 + y * 13) % 11) as f32);
+        let left = Image::from_fn(24, 12, |x, y| right.at_clamped(x as isize - 3, y as isize));
+        let params = crate::BlockMatchParams {
+            max_disparity: 8,
+            refine_radius: 1,
+            ..Default::default()
+        };
+        let refine = |initial: &DisparityMap| {
+            crate::refine_with_initial(&left, &right, initial, &params).unwrap()
+        };
+        assert_eq!(
+            refine(&DisparityMap::constant(24, 12, f32::NAN)),
+            refine(&DisparityMap::invalid(24, 12))
+        );
     }
 
     #[test]

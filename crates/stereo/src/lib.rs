@@ -43,7 +43,7 @@ pub mod sgm;
 pub mod simd;
 pub mod triangulation;
 
-pub use block_matching::{block_match, refine_with_initial, BlockMatchParams, MatchScratch};
+pub use block_matching::{block_match, refine_with_initial, BlockMatchParams};
 pub use census::{CensusCostVolume, CensusDescriptors, CensusWindow};
 pub use disparity::{DisparityMap, StereoError};
 pub use sgm::{semi_global_match, semi_global_match_with, CostMetric, SgmParams, SgmWorkspace};
