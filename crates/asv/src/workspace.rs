@@ -96,11 +96,26 @@ impl Workspace {
         self.maps.put(map.into_image().into_vec());
     }
 
-    /// Bytes retained by the pooled planes and the SGM scratch (the flow
-    /// workspaces add roughly twenty frame-sized planes on top).  Useful for
-    /// capacity-planning many concurrent sessions.
+    /// Bytes retained by every buffer of the workspace: both flow
+    /// workspaces, the SGM scratch, the propagated map, the pooled planes and
+    /// the propagation and median scratch.  Useful for capacity-planning
+    /// many concurrent sessions.
     pub fn retained_bytes(&self) -> usize {
-        self.maps.retained_bytes() + self.stereo.retained_bytes()
+        #[cfg(feature = "parallel")]
+        let propagation_rows = self
+            .propagation_rows
+            .iter()
+            .map(|row| row.capacity() * std::mem::size_of::<(usize, usize, f32)>())
+            .sum::<usize>();
+        #[cfg(not(feature = "parallel"))]
+        let propagation_rows = 0;
+        self.flow_left.retained_bytes()
+            + self.flow_right.retained_bytes()
+            + self.stereo.retained_bytes()
+            + self.propagated.as_image().retained_bytes()
+            + self.maps.retained_bytes()
+            + self.median_scratch.capacity() * std::mem::size_of::<f32>()
+            + propagation_rows
     }
 
     /// Releases every retained buffer — the pooled planes, the SGM scratch

@@ -170,6 +170,14 @@ impl KernelCache {
         self.blur_for = Some(sigma);
     }
 
+    /// Bytes held by the cached 1-D kernels.
+    fn retained_bytes(&self) -> usize {
+        [&self.k0, &self.k1, &self.k2, &self.blur, &self.pyramid]
+            .iter()
+            .map(|k| k.capacity() * std::mem::size_of::<f32>())
+            .sum()
+    }
+
     /// Builds the pyramid smoothing kernel once.
     fn ensure_pyramid(&mut self) {
         if self.pyramid.is_empty() {
@@ -243,6 +251,28 @@ impl FlowWorkspace {
     /// field behind; the next call re-warms the buffer).
     pub fn take_flow(&mut self) -> FlowField {
         std::mem::replace(&mut self.flow_a, FlowField::zeros(0, 0))
+    }
+
+    /// Bytes currently retained by the workspace: both pyramids, both
+    /// expansions, the moment, system and temporary planes, the solve
+    /// buffer, the flow double buffer and the cached kernels.
+    pub fn retained_bytes(&self) -> usize {
+        let planes = [&self.pyr0, &self.pyr1]
+            .into_iter()
+            .flat_map(Pyramid::iter_coarse_to_fine)
+            .chain(self.exp0.planes())
+            .chain(self.exp1.planes())
+            .chain(&self.moments)
+            .chain(&self.system)
+            .chain([&self.tmp, &self.tmp2])
+            .chain(
+                [&self.flow_a, &self.flow_b]
+                    .into_iter()
+                    .flat_map(|f| [f.u(), f.v()]),
+            );
+        planes.map(Image::retained_bytes).sum::<usize>()
+            + self.solve.capacity() * std::mem::size_of::<[f32; 5]>()
+            + self.kernels.retained_bytes()
     }
 }
 
@@ -800,6 +830,21 @@ mod tests {
                 assert!((acc - expected).abs() < 1e-6, "({i},{j}) = {acc}");
             }
         }
+    }
+
+    #[test]
+    fn retained_bytes_counts_every_plane() {
+        let mut ws = FlowWorkspace::new();
+        assert_eq!(ws.retained_bytes(), 0);
+        let frame0 = textured(64, 48);
+        let frame1 = translate(&frame0, 2, 1);
+        farneback_flow_with(&mut ws, &frame0, &frame1, &FarnebackParams::default()).unwrap();
+        // At least the full-resolution level of both pyramids, both
+        // expansions' five planes, the six moments and five system planes,
+        // and the flow double buffer.
+        let plane = 64 * 48 * std::mem::size_of::<f32>();
+        assert!(ws.retained_bytes() >= (2 + 2 * 5 + 6 + 5 + 4) * plane);
+        assert_eq!(FlowWorkspace::new().retained_bytes(), 0);
     }
 
     #[test]

@@ -169,6 +169,12 @@ impl Image {
         &self.data
     }
 
+    /// Bytes held by the pixel buffer, including spare capacity kept for
+    /// reuse.
+    pub fn retained_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Consumes the image and returns its row-major pixel buffer, e.g. to
     /// hand the allocation back to a buffer pool.
     pub fn into_vec(self) -> Vec<f32> {

@@ -250,6 +250,29 @@ impl CensusCostVolume {
         *self = Self::default();
     }
 
+    /// A volume holding raw `costs` in the `[y][x][d]` layout, for tests
+    /// that feed the aggregation arbitrary byte costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `costs` does not have `width * height * (max_disparity +
+    /// 1)` cells.
+    #[cfg(test)]
+    pub(crate) fn from_costs(
+        width: usize,
+        height: usize,
+        max_disparity: usize,
+        costs: Vec<u8>,
+    ) -> Self {
+        assert_eq!(costs.len(), width * height * (max_disparity + 1));
+        Self {
+            width,
+            height,
+            max_disparity,
+            costs,
+        }
+    }
+
     /// Hamming cost of hypothesis `d` at pixel `(x, y)`.
     ///
     /// # Panics

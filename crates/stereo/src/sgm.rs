@@ -91,9 +91,10 @@ impl Default for SgmParams {
 /// runtime of the tests reasonable while preserving SGM's behaviour.
 const DIRECTIONS: [(isize, isize); 4] = [(-1, 0), (1, 0), (0, -1), (0, 1)];
 
-/// Reusable scratch for [`semi_global_match_with`]: the cost volume, the
-/// aggregation buffers (checked out of a size-keyed [`BufferPool`]) and the
-/// mirrored images / right-reference map of the left-right check.
+/// Reusable scratch for [`semi_global_match_with`]: the cost volumes, the
+/// aggregation buffers (checked out of size-keyed pools), the census sweeps'
+/// row scratch and the mirrored images / right-reference map of the
+/// left-right check.
 ///
 /// A fresh workspace performs no allocation; the first match sizes every
 /// buffer and subsequent matches on same-sized pairs reuse them.  One
@@ -107,6 +108,8 @@ pub struct SgmWorkspace {
     census_r: CensusDescriptors,
     cvolume: CensusCostVolume,
     ipool: U16Pool,
+    /// Row scratch of the census path's forward and backward sweeps.
+    sweeps: [SweepRows; 2],
     mirror_l: Image,
     mirror_r: Image,
     map_r: DisparityMap,
@@ -126,6 +129,7 @@ impl SgmWorkspace {
             census_r: CensusDescriptors::new(),
             cvolume: CensusCostVolume::new(),
             ipool: U16Pool::new(),
+            sweeps: Default::default(),
             mirror_l: Image::default(),
             mirror_r: Image::default(),
             map_r: DisparityMap::invalid(0, 0),
@@ -139,8 +143,9 @@ impl SgmWorkspace {
     }
 
     /// Bytes currently retained by the workspace (cost volumes, census
-    /// descriptors, pooled aggregation buffers), e.g. for capacity planning
-    /// of many concurrent sessions.
+    /// descriptors, pooled aggregation buffers, sweep rows, and the mirrored
+    /// pair and right-reference map of the left-right check), e.g. for
+    /// capacity planning of many concurrent sessions.
     pub fn retained_bytes(&self) -> usize {
         self.volume.num_cells() * std::mem::size_of::<f32>()
             + self.pool.retained_bytes()
@@ -148,6 +153,14 @@ impl SgmWorkspace {
             + self.census_r.retained_bytes()
             + self.cvolume.retained_bytes()
             + self.ipool.retained_bytes()
+            + self
+                .sweeps
+                .iter()
+                .map(SweepRows::retained_bytes)
+                .sum::<usize>()
+            + self.mirror_l.retained_bytes()
+            + self.mirror_r.retained_bytes()
+            + self.map_r.as_image().retained_bytes()
     }
 
     /// Releases all retained buffers (e.g. when a stream goes idle).
@@ -158,6 +171,7 @@ impl SgmWorkspace {
         self.census_r.trim();
         self.cvolume.trim();
         self.ipool.trim();
+        self.sweeps = Default::default();
         self.mirror_l = Image::default();
         self.mirror_r = Image::default();
         self.map_r = DisparityMap::invalid(0, 0);
@@ -272,104 +286,139 @@ fn aggregate_all_pooled(volume: &CostVolume, p1: f32, p2: f32, pool: &mut Buffer
     total
 }
 
-/// Integer SGM aggregation along one direction over a census (Hamming) cost
-/// volume.  Same traversal as [`aggregate_direction_into`]; the per-pixel
-/// `min+penalty` inner loop runs at the given SIMD tier.
-fn aggregate_census_direction_into(
+/// Row scratch of one census sweep: the horizontal path's predecessor and
+/// current spans, and the vertical path's previous and current rows (one
+/// span per column).  Nothing volume-sized: the paths' own costs never
+/// outlive the next pixel or the next row.
+#[derive(Debug, Default)]
+struct SweepRows {
+    h_prev: Vec<u16>,
+    h_cur: Vec<u16>,
+    v_prev: Vec<u16>,
+    v_cur: Vec<u16>,
+}
+
+impl SweepRows {
+    /// Sizes the buffers for `width` pixels of `levels` hypotheses (no
+    /// allocation when the size is unchanged).
+    fn reshape(&mut self, width: usize, levels: usize) {
+        for (buf, len) in [
+            (&mut self.h_prev, levels),
+            (&mut self.h_cur, levels),
+            (&mut self.v_prev, width * levels),
+            (&mut self.v_cur, width * levels),
+        ] {
+            if buf.len() != len {
+                buf.clear();
+                buf.resize(len, 0);
+            }
+        }
+    }
+
+    fn retained_bytes(&self) -> usize {
+        [&self.h_prev, &self.h_cur, &self.v_prev, &self.v_cur]
+            .iter()
+            .map(|b| b.capacity() * std::mem::size_of::<u16>())
+            .sum()
+    }
+}
+
+/// One raster sweep of the integer SGM over a census (Hamming) cost volume:
+/// the horizontal and the vertical path that both arrive from the same
+/// corner (left→right and top→bottom when `forward`, right→left and
+/// bottom→top otherwise), summed with saturation into `out`, one span per
+/// pixel in the volume's layout (every cell is overwritten).  A path's first
+/// pixel takes its raw costs; every later one runs the recurrence of
+/// [`simd::census_aggregate_span`] at the given SIMD tier.
+fn census_sweep(
     volume: &CensusCostVolume,
-    dir: (isize, isize),
+    forward: bool,
     p1: u16,
     p2: u16,
-    agg: &mut Vec<u16>,
     level: SimdLevel,
+    rows: &mut SweepRows,
+    out: &mut [u16],
 ) {
     let width = volume.width();
     let height = volume.height();
     let levels = volume.num_disparities();
-    let cells = width * height * levels;
-    if agg.len() != cells {
-        agg.clear();
-        agg.resize(cells, 0);
-    }
-    for yi in 0..height {
-        let y = if dir.1 > 0 { yi } else { height - 1 - yi };
-        for xi in 0..width {
-            let x = if dir.0 > 0 { xi } else { width - 1 - xi };
-            let px = x as isize - dir.0;
-            let py = y as isize - dir.1;
-            let base = (y * width + x) * levels;
-            let costs = volume.span(x, y);
-            if px < 0 || py < 0 || px >= width as isize || py >= height as isize {
-                for (slot, &c) in agg[base..base + levels].iter_mut().zip(costs) {
-                    *slot = c as u16;
-                }
-                continue;
-            }
-            let pbase = (py as usize * width + px as usize) * levels;
-            // The predecessor and current spans never overlap (they are at
-            // least one pixel, i.e. `levels` cells, apart).
-            let (prev, out): (&[u16], &mut [u16]) = if pbase < base {
-                let (lo, hi) = agg.split_at_mut(base);
-                (&lo[pbase..pbase + levels], &mut hi[..levels])
-            } else {
-                let (lo, hi) = agg.split_at_mut(pbase);
-                (&hi[..levels], &mut lo[base..base + levels])
-            };
-            simd::census_aggregate_span(level, prev, costs, p1, p2, out);
+    debug_assert_eq!(out.len(), volume.num_cells());
+    rows.reshape(width, levels);
+    let SweepRows {
+        h_prev,
+        h_cur,
+        v_prev,
+        v_cur,
+    } = rows;
+    let widen = |costs: &[u8], span: &mut [u16]| {
+        for (slot, &c) in span.iter_mut().zip(costs) {
+            *slot = u16::from(c);
         }
+    };
+    for yi in 0..height {
+        let y = if forward { yi } else { height - 1 - yi };
+        for xi in 0..width {
+            let x = if forward { xi } else { width - 1 - xi };
+            let costs = volume.span(x, y);
+            if xi == 0 {
+                widen(costs, h_cur);
+            } else {
+                simd::census_aggregate_span(level, h_prev, costs, p1, p2, h_cur);
+            }
+            let column = x * levels;
+            let v = &mut v_cur[column..column + levels];
+            if yi == 0 {
+                widen(costs, v);
+            } else {
+                let prev = &v_prev[column..column + levels];
+                simd::census_aggregate_span(level, prev, costs, p1, p2, v);
+            }
+            let base = (y * width + x) * levels;
+            for ((slot, &h), &v) in out[base..base + levels].iter_mut().zip(&*h_cur).zip(&*v) {
+                *slot = h.saturating_add(v);
+            }
+            std::mem::swap(h_prev, h_cur);
+        }
+        std::mem::swap(v_prev, v_cur);
     }
 }
 
-/// Census counterpart of [`aggregate_all_pooled`]: four `u16` directional
-/// passes (parallel with the `parallel` feature) reduced in direction order
-/// with saturating adds.
-fn aggregate_census_all_pooled(
+/// Census counterpart of [`aggregate_all_pooled`]: the forward and the
+/// backward [`census_sweep`] (concurrent under `rayon::join` with the
+/// `parallel` feature), each into its own volume.  The four paths' total is
+/// the saturating sum of the two volumes: `u16` saturating addition is
+/// `min(sum, u16::MAX)` on non-negative terms, so any grouping of the four
+/// directions gives the same total.
+fn census_sweeps_into(
     volume: &CensusCostVolume,
     p1: u16,
     p2: u16,
-    pool: &mut U16Pool,
     level: SimdLevel,
-) -> Vec<u16> {
-    let cells = volume.num_cells();
-    let mut total = pool.take_zeroed(cells);
-    let mut dirs: [Vec<u16>; 4] = std::array::from_fn(|_| pool.take_scratch(cells));
-
+    sweeps: &mut [SweepRows; 2],
+    fwd: &mut [u16],
+    bwd: &mut [u16],
+) {
+    let [rows_f, rows_b] = sweeps;
     #[cfg(feature = "parallel")]
-    {
-        let [d0, d1, d2, d3] = &mut dirs;
-        rayon::join(
-            || {
-                rayon::join(
-                    || aggregate_census_direction_into(volume, DIRECTIONS[0], p1, p2, d0, level),
-                    || aggregate_census_direction_into(volume, DIRECTIONS[1], p1, p2, d1, level),
-                )
-            },
-            || {
-                rayon::join(
-                    || aggregate_census_direction_into(volume, DIRECTIONS[2], p1, p2, d2, level),
-                    || aggregate_census_direction_into(volume, DIRECTIONS[3], p1, p2, d3, level),
-                )
-            },
-        );
-    }
+    rayon::join(
+        || census_sweep(volume, true, p1, p2, level, rows_f, fwd),
+        || census_sweep(volume, false, p1, p2, level, rows_b, bwd),
+    );
     #[cfg(not(feature = "parallel"))]
-    for (agg, &dir) in dirs.iter_mut().zip(&DIRECTIONS) {
-        aggregate_census_direction_into(volume, dir, p1, p2, agg, level);
+    {
+        census_sweep(volume, true, p1, p2, level, rows_f, fwd);
+        census_sweep(volume, false, p1, p2, level, rows_b, bwd);
     }
-
-    for agg in dirs {
-        for (t, a) in total.iter_mut().zip(&agg) {
-            *t = t.saturating_add(*a);
-        }
-        pool.put(agg);
-    }
-    total
 }
 
-/// Winner-take-all over an integer aggregated volume; the sub-pixel parabola
-/// is evaluated on exact `f32` conversions of the integer costs.
-fn winner_take_all_u16_into(
-    total: &[u16],
+/// Winner-take-all over the saturating sum of the two sweep volumes, one
+/// output row per task (row-parallel with the `parallel` feature).  Each
+/// pixel takes the first disparity holding the minimum total, the winner of
+/// a strict-`<` scan, and the sub-pixel parabola is evaluated on exact `f32`
+/// conversions of the integer totals.
+fn census_winners_into(
+    fwd: &[u16],
+    bwd: &[u16],
     width: usize,
     height: usize,
     levels: usize,
@@ -377,33 +426,52 @@ fn winner_take_all_u16_into(
     out: &mut DisparityMap,
 ) {
     out.reshape_scratch(width, height);
-    let dst = out.as_image_mut().as_mut_slice();
-    for y in 0..height {
-        for x in 0..width {
+    let fill_row = |y: usize, dst: &mut [f32]| {
+        for (x, slot) in dst.iter_mut().enumerate() {
             let base = (y * width + x) * levels;
-            let mut best_d = 0usize;
-            let mut best_cost = u16::MAX;
-            for (d, &c) in total[base..base + levels].iter().enumerate() {
-                if c < best_cost {
-                    best_cost = c;
-                    best_d = d;
-                }
-            }
-            let value = if !subpixel || best_d == 0 || best_d + 1 >= levels {
+            let (f, b) = (&fwd[base..base + levels], &bwd[base..base + levels]);
+            let total = |d: usize| f[d].saturating_add(b[d]);
+            let best_cost = f
+                .iter()
+                .zip(b)
+                .map(|(&fd, &bd)| fd.saturating_add(bd))
+                .fold(u16::MAX, u16::min);
+            let best_d = (0..levels).position(|d| total(d) == best_cost).unwrap_or(0);
+            *slot = if !subpixel || best_d == 0 || best_d + 1 >= levels {
                 best_d as f32
             } else {
-                let c0 = f32::from(total[base + best_d - 1]);
-                let c1 = f32::from(best_cost);
-                let c2 = f32::from(total[base + best_d + 1]);
-                let denom = c0 - 2.0 * c1 + c2;
-                if denom.abs() < 1e-9 {
-                    best_d as f32
-                } else {
-                    best_d as f32 + (0.5 * (c0 - c2) / denom).clamp(-0.5, 0.5)
-                }
+                parabola(
+                    best_d,
+                    f32::from(total(best_d - 1)),
+                    f32::from(best_cost),
+                    f32::from(total(best_d + 1)),
+                )
             };
-            dst[y * width + x] = value;
         }
+    };
+    let dst = out.as_image_mut().as_mut_slice();
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        dst.par_chunks_mut(width)
+            .enumerate()
+            .for_each(|(y, row)| fill_row(y, row));
+    }
+    #[cfg(not(feature = "parallel"))]
+    for (y, row) in dst.chunks_mut(width).enumerate() {
+        fill_row(y, row);
+    }
+}
+
+/// Sub-pixel disparity of winner `best_d` from a parabola through its cost
+/// `c1` and its neighbours' `c0` (at `best_d - 1`) and `c2` (at
+/// `best_d + 1`); the winner itself when the three are collinear.
+fn parabola(best_d: usize, c0: f32, c1: f32, c2: f32) -> f32 {
+    let denom = c0 - 2.0 * c1 + c2;
+    if denom.abs() < 1e-9 {
+        best_d as f32
+    } else {
+        best_d as f32 + (0.5 * (c0 - c2) / denom).clamp(-0.5, 0.5)
     }
 }
 
@@ -430,20 +498,16 @@ fn winner_take_all_into(
                     best_d = d;
                 }
             }
-            let value = if !subpixel || best_d == 0 || best_d + 1 >= levels {
+            dst[y * width + x] = if !subpixel || best_d == 0 || best_d + 1 >= levels {
                 best_d as f32
             } else {
-                let c0 = total[base + best_d - 1];
-                let c1 = best_cost;
-                let c2 = total[base + best_d + 1];
-                let denom = c0 - 2.0 * c1 + c2;
-                if denom.abs() < 1e-9 {
-                    best_d as f32
-                } else {
-                    best_d as f32 + (0.5 * (c0 - c2) / denom).clamp(-0.5, 0.5)
-                }
+                parabola(
+                    best_d,
+                    total[base + best_d - 1],
+                    best_cost,
+                    total[base + best_d + 1],
+                )
             };
-            dst[y * width + x] = value;
         }
     }
 }
@@ -497,14 +561,15 @@ fn sad_pass(
 }
 
 /// One census-metric matching pass: census transform of both images, Hamming
-/// cost volume, integer aggregation, winner-take-all.  All stages dispatch to
-/// the active SIMD tier.
+/// cost volume, two aggregation sweeps, winner-take-all.  All stages
+/// dispatch to the active SIMD tier.
 #[allow(clippy::too_many_arguments)]
 fn census_pass(
     census_l: &mut CensusDescriptors,
     census_r: &mut CensusDescriptors,
     cvolume: &mut CensusCostVolume,
     ipool: &mut U16Pool,
+    sweeps: &mut [SweepRows; 2],
     timings: &mut KernelTimings,
     left: &Image,
     right: &Image,
@@ -534,24 +599,27 @@ fn census_pass(
     timings.record(Stage::CostFill, fill_started, fill_started.elapsed(), 1);
     let p1 = params.p1.round().max(0.0) as u16;
     let p2 = params.p2.round().max(0.0) as u16;
-    let levels = cvolume.num_disparities();
     let aggregate_started = Instant::now();
-    let total = aggregate_census_all_pooled(cvolume, p1, p2, ipool, level);
+    let mut fwd = ipool.take_scratch(cvolume.num_cells());
+    let mut bwd = ipool.take_scratch(cvolume.num_cells());
+    census_sweeps_into(cvolume, p1, p2, level, sweeps, &mut fwd, &mut bwd);
     timings.record(
         Stage::SgmAggregate,
         aggregate_started,
         aggregate_started.elapsed(),
         1,
     );
-    winner_take_all_u16_into(
-        &total,
+    census_winners_into(
+        &fwd,
+        &bwd,
         cvolume.width(),
         cvolume.height(),
-        levels,
+        cvolume.num_disparities(),
         params.subpixel,
         out,
     );
-    ipool.put(total);
+    ipool.put(fwd);
+    ipool.put(bwd);
     Ok(())
 }
 
@@ -598,6 +666,7 @@ pub fn semi_global_match_with(
         census_r,
         cvolume,
         ipool,
+        sweeps,
         mirror_l,
         mirror_r,
         map_r,
@@ -608,7 +677,7 @@ pub fn semi_global_match_with(
         CostMetric::Sad => sad_pass(volume, pool, timings, left, right, params, out)?,
         CostMetric::Census => {
             census_pass(
-                census_l, census_r, cvolume, ipool, timings, left, right, params, out,
+                census_l, census_r, cvolume, ipool, sweeps, timings, left, right, params, out,
             )?;
         }
     }
@@ -622,7 +691,8 @@ pub fn semi_global_match_with(
             CostMetric::Sad => sad_pass(volume, pool, timings, mirror_r, mirror_l, params, map_r)?,
             CostMetric::Census => {
                 census_pass(
-                    census_l, census_r, cvolume, ipool, timings, mirror_r, mirror_l, params, map_r,
+                    census_l, census_r, cvolume, ipool, sweeps, timings, mirror_r, mirror_l,
+                    params, map_r,
                 )?;
             }
         }
@@ -851,6 +921,245 @@ mod tests {
         assert!(ws.retained_bytes() > 0);
         ws.trim();
         assert_eq!(ws.retained_bytes(), 0);
+    }
+
+    /// Deterministic texture value in `[0, 1)`: an integer hash of the
+    /// coordinates, so the pinned inputs depend on no libm.
+    fn texture(seed: u64, x: usize, y: usize) -> f32 {
+        let mut h = seed
+            ^ (x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (y as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        (h >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    /// A seeded rectified pair: the left image is the right one shifted by a
+    /// piecewise-constant 3..=9 px disparity, plus a little noise.
+    fn seeded_pair(width: usize, height: usize, seed: u64) -> (Image, Image) {
+        let right = Image::from_fn(width, height, |x, y| texture(seed, x, y));
+        let left = Image::from_fn(width, height, |x, y| {
+            let d = 3 + (x / 7 + y / 5) % 7;
+            right.at_clamped(x as isize - d as isize, y as isize) + 0.05 * texture(seed + 1, x, y)
+        });
+        (left, right)
+    }
+
+    /// 64-bit FNV-1a over the bit patterns of a map.
+    fn fnv1a(hash: &mut u64, map: &DisparityMap) {
+        for value in map.as_image().as_slice() {
+            for byte in value.to_bits().to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Pins the exact output bits of the census matcher, one hash per pair
+    /// size over every census window, the left-right check and sub-pixel
+    /// refinement on and off, three disparity ranges, and a penalty pair that
+    /// saturates the `u16` totals.  A rewrite of the aggregation that claims
+    /// bit-identical output must leave these hashes alone.
+    #[test]
+    fn census_sgm_bits_are_pinned() {
+        let mut hashes = Vec::new();
+        for (seed, (width, height)) in [(1, 9), (9, 1), (37, 21), (48, 32)].into_iter().enumerate()
+        {
+            let (left, right) = seeded_pair(width, height, seed as u64 + 1);
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for census_window in [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7] {
+                for left_right_check in [false, true] {
+                    for subpixel in [false, true] {
+                        for max_disparity in [1, 16, 40] {
+                            for (p1, p2) in [(2.0, 32.0), (30_000.0, 65_000.0)] {
+                                let params = SgmParams {
+                                    max_disparity,
+                                    p1,
+                                    p2,
+                                    subpixel,
+                                    left_right_check,
+                                    metric: CostMetric::Census,
+                                    census_window,
+                                    ..Default::default()
+                                };
+                                let map = semi_global_match(&left, &right, &params).unwrap();
+                                fnv1a(&mut hash, &map);
+                            }
+                        }
+                    }
+                }
+            }
+            hashes.push(hash);
+        }
+        let expected: [u64; 4] = [
+            0x3e70_b835_e05e_bda5,
+            0xe485_92f5_30fe_4c99,
+            0x7ab0_8889_4191_c6a0,
+            0x1577_bd94_abb2_cfff,
+        ];
+        assert_eq!(hashes, expected, "got {hashes:#018x?}");
+    }
+
+    use proptest::prelude::*;
+
+    /// Reference census aggregation: one full volume per direction of
+    /// [`DIRECTIONS`], its recurrence reading each predecessor back from
+    /// that volume, summed in direction order with saturating adds.
+    fn reference_census_total(
+        volume: &CensusCostVolume,
+        p1: u16,
+        p2: u16,
+        level: SimdLevel,
+    ) -> Vec<u16> {
+        let width = volume.width();
+        let height = volume.height();
+        let levels = volume.num_disparities();
+        let mut total = vec![0u16; volume.num_cells()];
+        let mut agg = vec![0u16; volume.num_cells()];
+        for dir in DIRECTIONS {
+            for yi in 0..height {
+                let y = if dir.1 > 0 { yi } else { height - 1 - yi };
+                for xi in 0..width {
+                    let x = if dir.0 > 0 { xi } else { width - 1 - xi };
+                    let px = x as isize - dir.0;
+                    let py = y as isize - dir.1;
+                    let base = (y * width + x) * levels;
+                    let costs = volume.span(x, y);
+                    if px < 0 || py < 0 || px >= width as isize || py >= height as isize {
+                        for (slot, &c) in agg[base..base + levels].iter_mut().zip(costs) {
+                            *slot = c as u16;
+                        }
+                        continue;
+                    }
+                    let pbase = (py as usize * width + px as usize) * levels;
+                    let (prev, out): (&[u16], &mut [u16]) = if pbase < base {
+                        let (lo, hi) = agg.split_at_mut(base);
+                        (&lo[pbase..pbase + levels], &mut hi[..levels])
+                    } else {
+                        let (lo, hi) = agg.split_at_mut(pbase);
+                        (&hi[..levels], &mut lo[base..base + levels])
+                    };
+                    simd::census_aggregate_span(level, prev, costs, p1, p2, out);
+                }
+            }
+            for (t, a) in total.iter_mut().zip(&agg) {
+                *t = t.saturating_add(*a);
+            }
+        }
+        total
+    }
+
+    /// Reference winner-take-all: a strict-`<` scan of the summed volume.
+    fn reference_winners(
+        total: &[u16],
+        width: usize,
+        height: usize,
+        levels: usize,
+        subpixel: bool,
+    ) -> DisparityMap {
+        DisparityMap::from_fn(width, height, |x, y| {
+            let base = (y * width + x) * levels;
+            let mut best_d = 0usize;
+            let mut best_cost = u16::MAX;
+            for (d, &c) in total[base..base + levels].iter().enumerate() {
+                if c < best_cost {
+                    best_cost = c;
+                    best_d = d;
+                }
+            }
+            if !subpixel || best_d == 0 || best_d + 1 >= levels {
+                best_d as f32
+            } else {
+                let c0 = f32::from(total[base + best_d - 1]);
+                let c1 = f32::from(best_cost);
+                let c2 = f32::from(total[base + best_d + 1]);
+                let denom = c0 - 2.0 * c1 + c2;
+                if denom.abs() < 1e-9 {
+                    best_d as f32
+                } else {
+                    best_d as f32 + (0.5 * (c0 - c2) / denom).clamp(-0.5, 0.5)
+                }
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The two sweeps and the winner pass reproduce the four-direction
+        /// reference at every SIMD tier: the summed sweep volumes equal the
+        /// reference totals cell for cell, and the winner maps match bit for
+        /// bit.  Penalties run from small to saturating.
+        #[test]
+        fn sweeps_match_the_four_direction_reference(
+            width in 1usize..24,
+            height in 1usize..16,
+            levels in 1usize..71,
+            seed in 0u64..u64::MAX,
+            p1 in 0u32..65_536,
+            p2 in 0u32..65_536,
+            scale in 0u32..3,
+        ) {
+            let (p1, p2) = match scale {
+                0 => (p1 % 8, p2 % 64),
+                1 => (p1 % 512, p2 % 8192),
+                _ => (p1, p2),
+            };
+            let (p1, p2) = (p1 as u16, p2 as u16);
+            let costs = (0..width * height * levels)
+                .map(|i| (texture(seed, i, 0) * 256.0) as u8)
+                .collect();
+            let volume = CensusCostVolume::from_costs(width, height, levels - 1, costs);
+            let total = reference_census_total(&volume, p1, p2, SimdLevel::Scalar);
+            let mut sweeps: [SweepRows; 2] = Default::default();
+            let mut fwd = vec![0u16; volume.num_cells()];
+            let mut bwd = vec![0u16; volume.num_cells()];
+            let mut map = DisparityMap::invalid(0, 0);
+            for &level in simd::available_levels() {
+                census_sweeps_into(&volume, p1, p2, level, &mut sweeps, &mut fwd, &mut bwd);
+                for (i, ((&f, &b), &t)) in fwd.iter().zip(&bwd).zip(&total).enumerate() {
+                    prop_assert_eq!(f.saturating_add(b), t, "{} cell {}", level.name(), i);
+                }
+                for subpixel in [false, true] {
+                    census_winners_into(&fwd, &bwd, width, height, levels, subpixel, &mut map);
+                    let expected = reference_winners(&total, width, height, levels, subpixel);
+                    let bits = |m: &DisparityMap| -> Vec<u32> {
+                        m.as_image().as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    prop_assert_eq!(bits(&map), bits(&expected), "{} subpixel {}", level.name(), subpixel);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retained_bytes_counts_the_left_right_check_buffers() {
+        let (width, height) = (40, 28);
+        let (l, r, _) = two_plane_pair(width, height, 3, 9);
+        let retained = |left_right_check: bool| {
+            let params = SgmParams {
+                max_disparity: 12,
+                metric: CostMetric::Census,
+                left_right_check,
+                ..Default::default()
+            };
+            let mut ws = SgmWorkspace::new();
+            let mut out = DisparityMap::invalid(0, 0);
+            semi_global_match_with(&mut ws, &l, &r, &params, &mut out).unwrap();
+            // A census pass checks out two volume-sized aggregation buffers.
+            assert_eq!(ws.ipool.retained(), 2);
+            let bytes = ws.retained_bytes();
+            ws.trim();
+            assert_eq!(ws.retained_bytes(), 0);
+            bytes
+        };
+        let (off, on) = (retained(false), retained(true));
+        // Two mirrored images and the right-reference map.
+        assert!(
+            on >= off + 3 * width * height * 4,
+            "check on {on}, off {off}"
+        );
     }
 
     #[test]
