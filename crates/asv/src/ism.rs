@@ -79,7 +79,9 @@ pub struct IsmConfig {
     pub propagation_window: usize,
     /// Key-frame selection policy.
     pub key_frame_policy: KeyFramePolicy,
-    /// Optical-flow parameters used for correspondence propagation.
+    /// Optical-flow parameters used for correspondence propagation
+    /// ([`FarnebackParams::ism`] by default, the flow the accelerator cost
+    /// model prices).
     pub flow: FarnebackParams,
     /// Block-matching parameters used for correspondence refinement.
     pub refine: BlockMatchParams,
@@ -92,7 +94,7 @@ impl Default for IsmConfig {
         Self {
             propagation_window: 4,
             key_frame_policy: KeyFramePolicy::Static,
-            flow: FarnebackParams::default(),
+            flow: FarnebackParams::ism(),
             refine: BlockMatchParams {
                 max_disparity: 64,
                 refine_radius: 3,
@@ -369,6 +371,14 @@ impl IsmPipeline {
     /// The pipeline configuration.
     pub fn config(&self) -> &IsmConfig {
         &self.config
+    }
+
+    /// The same key-frame estimator under another configuration (its
+    /// surrogate parameters included).
+    pub fn with_config(&self, config: IsmConfig) -> IsmPipeline {
+        let mut surrogate = self.surrogate.clone();
+        surrogate.set_params(config.surrogate);
+        IsmPipeline::new(config, surrogate)
     }
 
     /// Creates a fresh incremental state for streaming this pipeline one

@@ -2,8 +2,10 @@
 //! contribution), tying together the ISM algorithm, the deconvolution
 //! optimizations and the accelerator models.
 //!
-//! The crate exposes three layers of API:
+//! The crate exposes four layers of API:
 //!
+//! * [`accuracy`] — scoring disparity maps and flow against ground truth,
+//!   and the seeded accuracy gate an output-changing optimization must pass.
 //! * [`ism`] — the invariant-based stereo matching pipeline (Sec. 3): DNN
 //!   (surrogate) inference on key frames, correspondence reconstruction,
 //!   propagation through dense optical flow, and block-matching refinement on
@@ -36,6 +38,7 @@
 //! assert!(accuracy.ism_error_rate <= 0.5);
 //! ```
 
+pub mod accuracy;
 pub mod error;
 pub mod ism;
 pub mod perf;

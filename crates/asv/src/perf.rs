@@ -108,6 +108,11 @@ impl SystemPerformanceModel {
         &self.accelerator
     }
 
+    /// The non-key-frame configuration the model prices.
+    pub fn nonkey_config(&self) -> &NonKeyFrameConfig {
+        &self.nonkey
+    }
+
     /// The propagation window.
     pub fn propagation_window(&self) -> usize {
         self.propagation_window

@@ -1,13 +1,13 @@
 //! [`AsvSystem`]: the top-level user-facing object combining the functional
 //! ISM pipeline with the performance/energy model.
 
+use crate::accuracy::score_disparity;
 use crate::error::AsvError;
 use crate::ism::{IsmConfig, IsmPipeline, IsmResult};
 use crate::perf::{AsvVariant, SystemPerformanceModel, VariantReport};
 use asv_accel::ism::NonKeyFrameConfig;
 use asv_accel::systolic::SystolicAccelerator;
 use asv_dnn::{zoo, CostMetric, NetworkSpec, SurrogateParams, SurrogateStereoDnn};
-use asv_flow::farneback::FarnebackParams;
 use asv_scene::StereoSequence;
 use asv_stereo::block_matching::BlockMatchParams;
 use serde::{Deserialize, Serialize};
@@ -120,20 +120,25 @@ impl AsvSystem {
         };
         let ism_config = IsmConfig {
             propagation_window: config.propagation_window,
-            key_frame_policy: crate::ism::KeyFramePolicy::Static,
-            flow: FarnebackParams::default(),
             refine: BlockMatchParams {
                 max_disparity: config.max_disparity,
                 refine_radius: 3,
                 ..Default::default()
             },
             surrogate: surrogate_params,
+            ..IsmConfig::default()
         };
         let pipeline = IsmPipeline::new(
             ism_config,
             SurrogateStereoDnn::new(network.clone(), surrogate_params),
         );
-        let nonkey = NonKeyFrameConfig::with_resolution(config.frame_width, config.frame_height);
+        // The model prices the flow and refinement the pipeline runs.
+        let nonkey = NonKeyFrameConfig {
+            width: config.frame_width,
+            height: config.frame_height,
+            flow: ism_config.flow,
+            refine: ism_config.refine,
+        };
         let perf = SystemPerformanceModel::new(accelerator, nonkey, config.propagation_window);
         Ok(Self {
             config,
@@ -184,22 +189,20 @@ impl AsvSystem {
     /// [`AsvError`].
     pub fn evaluate_accuracy(&self, sequence: &StereoSequence) -> Result<AccuracyReport, AsvError> {
         let ism = self.pipeline.process_sequence(sequence)?;
-        let per_frame_config = IsmConfig {
-            propagation_window: 1,
-            ..*self.pipeline.config()
-        };
-        let per_frame_pipeline = IsmPipeline::new(
-            per_frame_config,
-            SurrogateStereoDnn::new(self.network.clone(), per_frame_config.surrogate),
-        );
-        let dnn = per_frame_pipeline.process_sequence(sequence)?;
+        let dnn = self
+            .pipeline
+            .with_config(IsmConfig {
+                propagation_window: 1,
+                ..*self.pipeline.config()
+            })
+            .process_sequence(sequence)?;
 
         let mut ism_err = 0.0;
         let mut dnn_err = 0.0;
         let mut count = 0usize;
         for ((a, b), truth) in ism.frames.iter().zip(&dnn.frames).zip(sequence.frames()) {
-            ism_err += a.disparity.three_pixel_error(&truth.ground_truth)?;
-            dnn_err += b.disparity.three_pixel_error(&truth.ground_truth)?;
+            ism_err += score_disparity(&a.disparity, &truth.ground_truth)?.bad_3px;
+            dnn_err += score_disparity(&b.disparity, &truth.ground_truth)?.bad_3px;
             count += 1;
         }
         let n = count.max(1) as f64;
@@ -250,6 +253,7 @@ fn network_by_name(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asv_flow::farneback::FarnebackParams;
     use asv_scene::SceneConfig;
 
     fn small_system() -> AsvSystem {
@@ -323,6 +327,22 @@ mod tests {
             Err(AsvError::UnknownNetwork { name }) => assert_eq!(name, "unknown"),
             other => panic!("expected UnknownNetwork, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn performance_model_prices_the_pipeline_it_runs() {
+        let system = AsvSystem::new(AsvConfig::paper_default()).unwrap();
+        let ism = system.pipeline().config();
+        let priced = system.performance_model().nonkey_config();
+        assert_eq!(priced.flow, ism.flow);
+        assert_eq!(priced.refine, ism.refine);
+        assert_eq!(ism.flow, FarnebackParams::ism());
+        assert_eq!((priced.width, priced.height), (960, 540));
+        // At qHD that is the paper's evaluation point.
+        assert_eq!(
+            asv_accel::ism::nonkey_frame_ops(priced),
+            asv_accel::ism::nonkey_frame_ops(&NonKeyFrameConfig::qhd())
+        );
     }
 
     #[test]

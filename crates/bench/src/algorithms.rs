@@ -3,6 +3,7 @@
 //! (Fig. 9).  These experiments run the *functional* implementations on the
 //! synthetic dataset substitute.
 
+use asv::accuracy::score_disparity;
 use asv::ism::{IsmConfig, IsmPipeline};
 use asv::perf::{AsvVariant, SystemPerformanceModel};
 use asv_accel::ism::{nonkey_frame_report, NonKeyFrameConfig};
@@ -82,7 +83,7 @@ fn average_error(
     for seq in sequences {
         for frame in seq.frames() {
             let map = estimate(frame);
-            total += map.three_pixel_error(&frame.ground_truth).unwrap_or(1.0);
+            total += score_disparity(&map, &frame.ground_truth).map_or(1.0, |s| s.bad_3px);
             count += 1;
         }
     }
@@ -96,10 +97,8 @@ fn ism_error(sequences: &[StereoSequence], pipeline: &IsmPipeline) -> f64 {
     for seq in sequences {
         let result = pipeline.process_sequence(seq).expect("pipeline runs");
         for (frame, truth) in result.frames.iter().zip(seq.frames()) {
-            total += frame
-                .disparity
-                .three_pixel_error(&truth.ground_truth)
-                .unwrap_or(1.0);
+            total +=
+                score_disparity(&frame.disparity, &truth.ground_truth).map_or(1.0, |s| s.bad_3px);
             count += 1;
         }
     }

@@ -14,6 +14,8 @@ use crate::hardware::{
     figure14_gans, figure3_stage_distribution, overhead_table,
 };
 use crate::table::{fmt3, fmt_pct, TextTable};
+use asv::accuracy::{DisparityScore, GateRow, GateSetup};
+use asv_scene::DatasetProfile;
 
 /// Fig. 1: accuracy/performance frontier of classic algorithms, stereo DNNs
 /// (accelerator and GPU) and ASV.
@@ -328,4 +330,145 @@ pub fn tab_overhead_report() -> String {
         fmt_pct(b.total_power_overhead()),
     ]);
     format!("Section 7.1: ASV hardware overhead\n\n{}", table.render())
+}
+
+fn profile_name(profile: DatasetProfile) -> &'static str {
+    match profile {
+        DatasetProfile::SceneFlowLike => "SceneFlow-like",
+        DatasetProfile::KittiLike => "KITTI-like",
+    }
+}
+
+/// The accuracy gate (`asv::accuracy::accuracy_gate`) as the table
+/// `tab_accuracy` prints: rates in percent, errors in pixels.
+pub fn tab_accuracy_report(rows: &[GateRow]) -> String {
+    let mut table = TextTable::new(&[
+        "dataset",
+        "flow",
+        "key >1px",
+        "key >3px",
+        "key MAE",
+        "non-key >1px",
+        "non-key >3px",
+        "non-key MAE",
+        "non-key density",
+        "left flow EPE",
+    ]);
+    for r in rows {
+        let (key, non_key) = (r.score.key, r.score.non_key);
+        table.row(vec![
+            profile_name(r.profile).into(),
+            r.flow_name.into(),
+            fmt3(key.bad_1px * 100.0),
+            fmt3(key.bad_3px * 100.0),
+            fmt3(key.mean_abs_error),
+            fmt3(non_key.bad_1px * 100.0),
+            fmt3(non_key.bad_3px * 100.0),
+            fmt3(non_key.mean_abs_error),
+            fmt3(non_key.density * 100.0),
+            fmt3(r.score.left_flow_epe),
+        ]);
+    }
+    format!(
+        "Accuracy gate: ISM flow vs full-resolution Farneback (census key frames)\n\n{}",
+        table.render()
+    )
+}
+
+/// The accuracy gate as the machine-readable `BENCH_accuracy.json` payload.
+pub fn tab_accuracy_json(setup: &GateSetup, rows: &[GateRow]) -> String {
+    let score = |s: &DisparityScore| {
+        format!(
+            concat!(
+                "{{\"bad_1px_pct\": {:.5}, \"bad_3px_pct\": {:.5}, ",
+                "\"mean_abs_error_px\": {:.5}, \"density_pct\": {:.5}}}"
+            ),
+            s.bad_1px * 100.0,
+            s.bad_3px * 100.0,
+            s.mean_abs_error,
+            s.density * 100.0
+        )
+    };
+    let rows = rows
+        .iter()
+        .map(|r| {
+            format!(
+                concat!(
+                    "    {{\"dataset\": \"{}\", \"flow\": \"{}\", ",
+                    "\"pyramid_levels\": {}, \"finest_level\": {}, \"iterations\": {}, ",
+                    "\"key_frames\": {}, \"non_key_frames\": {},\n",
+                    "     \"key\": {},\n",
+                    "     \"non_key\": {},\n",
+                    "     \"left_flow_epe_px\": {:.5}}}"
+                ),
+                profile_name(r.profile),
+                r.flow_name,
+                r.flow.pyramid_levels,
+                r.flow.finest_level,
+                r.flow.iterations,
+                r.score.key_frames,
+                r.score.non_key_frames,
+                score(&r.score.key),
+                score(&r.score.non_key),
+                r.score.left_flow_epe
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let seeds = setup
+        .seeds
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!(
+        concat!(
+            "{{\n",
+            "  \"setup\": {{\"width\": {}, \"height\": {}, \"max_disparity\": {}, ",
+            "\"propagation_window\": {}, \"key_frame_metric\": \"census\", ",
+            "\"seeds\": [{}], \"frames\": {}}},\n",
+            "  \"rows\": [\n{}\n  ]\n",
+            "}}\n"
+        ),
+        setup.width,
+        setup.height,
+        setup.max_disparity,
+        setup.propagation_window,
+        seeds,
+        setup.frames,
+        rows
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asv::accuracy::IsmScore;
+    use asv_flow::farneback::FarnebackParams;
+
+    #[test]
+    fn accuracy_table_renders_every_row() {
+        let row = GateRow {
+            profile: DatasetProfile::KittiLike,
+            flow_name: "ism",
+            flow: FarnebackParams::ism(),
+            score: IsmScore {
+                non_key: DisparityScore {
+                    bad_3px: 0.0768,
+                    ..DisparityScore::default()
+                },
+                left_flow_epe: 0.85,
+                key_frames: 8,
+                non_key_frames: 24,
+                ..IsmScore::default()
+            },
+        };
+        let text = tab_accuracy_report(&[row, row]);
+        assert_eq!(text.matches("KITTI-like").count(), 2);
+        let json = tab_accuracy_json(&GateSetup::GATE, &[row]);
+        assert!(json.contains("\"seeds\": [1, 2, 3, 4]"));
+        assert!(json.contains("\"finest_level\": 1"));
+        assert!(json.contains("\"bad_3px_pct\": 7.68000"));
+        assert!(json.contains("\"left_flow_epe_px\": 0.85000"));
+    }
 }

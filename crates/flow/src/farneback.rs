@@ -34,6 +34,11 @@ use serde::{Deserialize, Serialize};
 pub struct FarnebackParams {
     /// Number of pyramid levels for coarse-to-fine estimation.
     pub pyramid_levels: usize,
+    /// Finest pyramid level the coarse-to-fine loop estimates on (0 is full
+    /// resolution).  Above 0, the field of that level is resampled to frame
+    /// size.  A level the pyramid did not build is clamped to the coarsest
+    /// one it did, so a frame too small for level 1 runs at full size.
+    pub finest_level: usize,
     /// Standard deviation of the Gaussian applicability window used by the
     /// polynomial expansion.
     pub poly_sigma: f32,
@@ -50,10 +55,28 @@ impl Default for FarnebackParams {
     fn default() -> Self {
         Self {
             pyramid_levels: 3,
+            finest_level: 0,
             poly_sigma: 1.2,
             blur_sigma: 2.0,
             iterations: 3,
             min_level_size: 12,
+        }
+    }
+}
+
+impl FarnebackParams {
+    /// The flow ISM propagates correspondences with, and the one the
+    /// accelerator cost model prices (`asv_accel::ism::NonKeyFrameConfig`):
+    /// two iterations on pyramid levels 2 and 1 (quarter and half
+    /// resolution), resampled to frame size.  Propagated correspondences
+    /// only seed a narrow block-matching refinement, which absorbs the
+    /// residual motion error, so coarse motion suffices (Sec. 3.2, step 4).
+    pub fn ism() -> Self {
+        Self {
+            pyramid_levels: 3,
+            finest_level: 1,
+            iterations: 2,
+            ..Self::default()
         }
     }
 }
@@ -581,6 +604,11 @@ fn refine_displacement_into(
 
 /// Estimates the dense optical flow from `frame0` to `frame1`.
 ///
+/// Coarse-to-fine estimation runs from the coarsest pyramid level down to
+/// [`FarnebackParams::finest_level`], clamped to the coarsest level the
+/// pyramid built; a field estimated above level 0 is resampled to frame size
+/// with [`FlowField::resample`].
+///
 /// # Errors
 ///
 /// Returns [`FlowError::FrameMismatch`] when the two frames differ in size
@@ -660,9 +688,10 @@ pub fn farneback_flow_with(
     );
     ws.kernels.ensure_blur(params.blur_sigma);
     let levels = ws.pyr0.num_levels().min(ws.pyr1.num_levels());
+    let finest = params.finest_level.min(levels - 1);
 
     let mut first = true;
-    for level in (0..levels).rev() {
+    for level in (finest..levels).rev() {
         // Split the workspace into its disjoint pieces so each stage can
         // borrow what it needs.
         let FlowWorkspace {
@@ -696,9 +725,14 @@ pub fn farneback_flow_with(
             std::mem::swap(flow_a, flow_b);
         }
     }
-    // The finest level's flow sits in `flow_a` after the last swap; both
-    // double-buffer fields keep their full-resolution capacity for the next
-    // call, so the steady state never re-allocates.
+    if finest > 0 {
+        ws.flow_a
+            .resample_into(frame0.width(), frame0.height(), &mut ws.flow_b);
+        std::mem::swap(&mut ws.flow_a, &mut ws.flow_b);
+    }
+    // The frame-size flow sits in `flow_a` after the last swap; both
+    // double-buffer fields keep their capacity for the next call, so the
+    // steady state never re-allocates.
     Ok(())
 }
 
@@ -750,7 +784,8 @@ fn pyramid_level_sizes(
 
 /// Analytical operation count of [`farneback_flow`] for a frame of the given
 /// size, mirroring the loop structure of the implementation over the levels
-/// its pyramid builds.
+/// it estimates on: those its pyramid builds, from the coarsest down to the
+/// clamped [`FarnebackParams::finest_level`].
 pub fn farneback_op_breakdown(
     width: usize,
     height: usize,
@@ -762,7 +797,9 @@ pub fn farneback_op_breakdown(
     let mut solve = 0u64;
     let poly_taps = gaussian_kernel(params.poly_sigma).len() as u64;
     let blur_taps = gaussian_kernel(params.blur_sigma).len() as u64;
-    for (w, h) in pyramid_level_sizes(width, height, params) {
+    let built = pyramid_level_sizes(width, height, params).count();
+    let finest = params.finest_level.min(built.saturating_sub(1));
+    for (w, h) in pyramid_level_sizes(width, height, params).skip(finest) {
         let pixels = (w * h) as u64;
         // Polynomial expansion: 6 separable moment filters per frame, 2 frames,
         // each separable filter is 2 passes of `taps` MACs per pixel, plus the
@@ -1007,7 +1044,8 @@ mod tests {
     /// rewrite that claims byte-identical output must leave these hashes
     /// alone; an output-changing one must be gated on accuracy instead.  The
     /// Gaussian kernels use the platform `exp`, so the values assume an IEEE
-    /// `expf` that rounds as the common libms do.
+    /// `expf` that rounds as the common libms do.  The flow runs with
+    /// `finest_level: 0`; the test below ties the coarser levels to it.
     #[test]
     fn flow_and_expansion_bits_are_pinned() {
         let params = FarnebackParams::default();
@@ -1031,25 +1069,108 @@ mod tests {
         assert_eq!(hashes, expected, "got {hashes:#018x?}");
     }
 
+    /// The flow's component bit patterns, for bit-for-bit comparisons.
+    fn bits(flow: &FlowField) -> Vec<u32> {
+        [flow.u(), flow.v()]
+            .iter()
+            .flat_map(|plane| plane.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Stopping at level 1 is estimating on both frames' level-1 images and
+    /// resampling the result: the same arithmetic on the same data.  At
+    /// 71x53 level 1 is 35x26, so the resample scale is not exactly 2.
+    #[test]
+    fn finest_level_equals_estimating_on_that_level_and_resampling() {
+        let params = FarnebackParams::ism();
+        assert_eq!((params.pyramid_levels, params.finest_level), (3, 1));
+        let coarse = FarnebackParams {
+            pyramid_levels: 2,
+            finest_level: 0,
+            ..params
+        };
+        for (width, height, seed) in [(64, 48, 1), (71, 53, 2), (64, 48, 3), (71, 53, 4)] {
+            let (frame0, frame1) = seeded_pair(width, height, seed);
+            let level1 = |frame: &Image| {
+                let pyramid =
+                    Pyramid::build(frame, params.pyramid_levels, params.min_level_size).unwrap();
+                assert_eq!(pyramid.num_levels(), 3, "{width}x{height}");
+                pyramid.level(1).clone()
+            };
+            let reference = farneback_flow(&level1(&frame0), &level1(&frame1), &coarse)
+                .unwrap()
+                .resample(width, height);
+            let flow = farneback_flow(&frame0, &frame1, &params).unwrap();
+            assert_eq!((flow.width(), flow.height()), (width, height));
+            assert!(
+                bits(&flow) == bits(&reference),
+                "{width}x{height} seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_too_small_for_level_one_runs_at_full_size() {
+        let params = FarnebackParams::ism();
+        let full_size = FarnebackParams {
+            finest_level: 0,
+            ..params
+        };
+        // 20 / 2 is below the 12-pixel minimum level size.
+        let (frame0, frame1) = seeded_pair(20, 30, 5);
+        let pyramid =
+            Pyramid::build(&frame0, params.pyramid_levels, params.min_level_size).unwrap();
+        assert_eq!(pyramid.num_levels(), 1);
+        let flow = farneback_flow(&frame0, &frame1, &params).unwrap();
+        let reference = farneback_flow(&frame0, &frame1, &full_size).unwrap();
+        assert!(bits(&flow) == bits(&reference));
+        assert_eq!(
+            farneback_op_breakdown(20, 30, &params),
+            farneback_op_breakdown(20, 30, &full_size)
+        );
+    }
+
     #[test]
     fn op_breakdown_models_the_levels_the_pyramid_builds() {
-        let params = FarnebackParams::default();
         let sizes = [8, 11, 12, 23, 24, 25].map(|n| (n, n));
-        for (width, height) in sizes.into_iter().chain([(320, 180), (960, 540)]) {
-            let frame = Image::filled(width, height, 0.5);
-            let pyramid =
-                Pyramid::build(&frame, params.pyramid_levels, params.min_level_size).unwrap();
-            let modelled: Vec<_> = pyramid_level_sizes(width, height, &params).collect();
-            let built: Vec<_> = (0..pyramid.num_levels())
-                .map(|i| (pyramid.level(i).width(), pyramid.level(i).height()))
-                .collect();
-            assert_eq!(modelled, built, "{width}x{height}");
-            // The per-pixel compute-flow count sums exactly those levels.
-            let pixels: usize = built.iter().map(|(w, h)| w * h).sum();
-            let ops = farneback_op_breakdown(width, height, &params);
+        for params in [FarnebackParams::default(), FarnebackParams::ism()] {
+            for (width, height) in sizes.into_iter().chain([(320, 180), (960, 540)]) {
+                let frame = Image::filled(width, height, 0.5);
+                let pyramid =
+                    Pyramid::build(&frame, params.pyramid_levels, params.min_level_size).unwrap();
+                let modelled: Vec<_> = pyramid_level_sizes(width, height, &params).collect();
+                let built: Vec<_> = (0..pyramid.num_levels())
+                    .map(|i| (pyramid.level(i).width(), pyramid.level(i).height()))
+                    .collect();
+                assert_eq!(modelled, built, "{width}x{height}");
+                // The per-pixel compute-flow count sums exactly the levels
+                // estimated on: the finest level is clamped to the coarsest.
+                let finest = params.finest_level.min(built.len() - 1);
+                let pixels: usize = built[finest..].iter().map(|(w, h)| w * h).sum();
+                let ops = farneback_op_breakdown(width, height, &params);
+                assert_eq!(
+                    ops.compute_flow_ops,
+                    (12 * params.iterations * pixels) as u64,
+                    "{width}x{height}"
+                );
+            }
+        }
+        // Stopping at level 1 of a 3-level pyramid counts the levels of a
+        // 2-level pyramid at half size: the accelerator model's half- and
+        // quarter-resolution flow.
+        let finest_one = FarnebackParams {
+            pyramid_levels: 3,
+            finest_level: 1,
+            ..FarnebackParams::default()
+        };
+        let half = FarnebackParams {
+            pyramid_levels: 2,
+            ..FarnebackParams::default()
+        };
+        for (width, height) in [(320, 180), (640, 360), (960, 540)] {
             assert_eq!(
-                ops.compute_flow_ops,
-                (12 * params.iterations * pixels) as u64,
+                farneback_op_breakdown(width, height, &finest_one),
+                farneback_op_breakdown(width / 2, height / 2, &half),
                 "{width}x{height}"
             );
         }
