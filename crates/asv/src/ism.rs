@@ -32,7 +32,7 @@ use crate::workspace::Workspace;
 use asv_dnn::{SurrogateParams, SurrogateStereoDnn};
 use asv_flow::farneback::{farneback_flow_with, FarnebackParams, FlowWorkspace};
 use asv_flow::FlowField;
-use asv_image::Image;
+use asv_image::{Bilinear, BilinearAxis, Image};
 use asv_scene::StereoSequence;
 use asv_stereo::block_matching::{refine_with_initial_into, BlockMatchParams};
 use asv_stereo::DisparityMap;
@@ -458,19 +458,11 @@ fn propagate_and_refine_into(
     // Steps 2 + 3: reconstruct each correspondence pair from the previous
     // disparity map and move both members along their view's motion.
     let propagate_span = ws.tracer.enter(Stage::Propagate);
-    #[cfg(feature = "parallel")]
-    propagate_correspondences_pooled(
-        prev_disparity,
-        ws.flow_left.flow(),
-        ws.flow_right.flow(),
-        &mut ws.propagation_rows,
-        &mut ws.propagated,
-    );
-    #[cfg(not(feature = "parallel"))]
     propagate_correspondences_into(
         prev_disparity,
         ws.flow_left.flow(),
         ws.flow_right.flow(),
+        &mut ws.propagation_targets,
         &mut ws.propagated,
     );
     ws.tracer.exit(propagate_span);
@@ -478,7 +470,14 @@ fn propagate_and_refine_into(
     // Step 4: refine with a narrow block-matching search around the
     // propagated disparity.
     let refine_span = ws.tracer.enter(Stage::Refine);
-    refine_with_initial_into(left, right, &ws.propagated, &config.refine, out)?;
+    refine_with_initial_into(
+        left,
+        right,
+        &ws.propagated,
+        &config.refine,
+        &mut ws.padded_pair,
+        out,
+    )?;
     ws.tracer.exit(refine_span);
     Ok(())
 }
@@ -539,150 +538,136 @@ fn view_flow(
     Ok(())
 }
 
-/// Propagated writes produced by one source row `y`: `(x, y, disparity)`
-/// targets in the new frame, in source-column order, appended to a reusable
-/// (cleared) write list.
-#[cfg(feature = "parallel")]
-fn row_writes_into(
-    prev_disparity: &DisparityMap,
-    flow_left: &FlowField,
-    flow_right: &FlowField,
-    y: usize,
-    writes: &mut Vec<(usize, usize, f32)>,
-) {
-    let width = prev_disparity.width();
-    let height = prev_disparity.height();
-    writes.clear();
-    for x in 0..width {
-        let Some(d) = prev_disparity.get(x, y) else {
-            continue;
-        };
-        // Left member of the pair moves with the left-view flow.
-        let (ul, vl) = flow_left.at(x, y);
-        let new_lx = x as f32 + ul;
-        let new_ly = y as f32 + vl;
-        // Right member (at x - d in the right view) moves with the
-        // right-view flow.
-        let rx = x as f32 - d;
-        if rx < 0.0 {
-            continue;
-        }
-        let (ur, _vr) = flow_right.sample(rx, y as f32);
-        let new_rx = rx + ur;
-        let new_d = new_lx - new_rx;
-        let ix = new_lx.round();
-        let iy = new_ly.round();
-        if ix < 0.0 || iy < 0.0 || ix >= width as f32 || iy >= height as f32 || new_d < 0.0 {
-            continue;
-        }
-        writes.push((ix as usize, iy as usize, new_d));
-    }
-}
-
-/// Applies per-source-row write lists in row order into a reusable output
-/// map, reproducing exactly the overwrite semantics of the reference double
-/// loop (later source rows win).
-#[cfg(feature = "parallel")]
-fn apply_writes_into(
-    width: usize,
-    height: usize,
-    rows: &[Vec<(usize, usize, f32)>],
-    out: &mut DisparityMap,
-) {
-    out.reset_invalid(width, height);
-    for row in rows {
-        for &(x, y, d) in row {
-            out.set(x, y, d);
-        }
-    }
-    out.fill_invalid_horizontally();
-}
+/// Marks a source pixel whose correspondence lands nowhere in the new frame.
+const NO_TARGET: u32 = u32::MAX;
 
 /// Moves every correspondence pair of `prev_disparity` along the left/right
 /// motion fields and rebuilds a disparity map registered to the new left
 /// frame.  Pixels that receive no propagated correspondence (disocclusions,
 /// pixels that moved out of the frame) are filled from their horizontal
 /// neighbours.
-///
-/// Source rows are independent until the final scatter, so the `parallel`
-/// build computes the flow sampling and target positions row-parallel and
-/// then applies the writes serially in source-row order; the result is
-/// identical to [`propagate_correspondences_serial`] (asserted by a
-/// differential test).
 pub fn propagate_correspondences(
     prev_disparity: &DisparityMap,
     flow_left: &FlowField,
     flow_right: &FlowField,
 ) -> DisparityMap {
     let mut out = DisparityMap::invalid(0, 0);
-    propagate_correspondences_into(prev_disparity, flow_left, flow_right, &mut out);
+    let mut targets = Vec::new();
+    propagate_correspondences_into(
+        prev_disparity,
+        flow_left,
+        flow_right,
+        &mut targets,
+        &mut out,
+    );
     out
 }
 
-/// [`propagate_correspondences`] writing into a reusable output map
-/// (identical values, no allocation in the sequential build once the map is
-/// warm).
-#[cfg(feature = "parallel")]
+/// [`propagate_correspondences`] writing into a reusable output map through
+/// a reusable target buffer: identical values, no allocation once both are
+/// warm.
+///
+/// Each source pixel's target (its new index and disparity, or none) is
+/// computed into `targets`, one slot per source pixel, row-parallel with the
+/// `parallel` feature.  One pass then writes the targets in source raster
+/// order, so where several sources land on one pixel the last one wins, as
+/// in [`propagate_correspondences_serial`] (asserted by a differential
+/// test).
+///
+/// # Panics
+///
+/// Panics when a flow differs from the map in size, or the map has
+/// `u32::MAX` pixels or more.
 pub fn propagate_correspondences_into(
     prev_disparity: &DisparityMap,
     flow_left: &FlowField,
     flow_right: &FlowField,
+    targets: &mut Vec<(u32, f32)>,
     out: &mut DisparityMap,
 ) {
-    let mut rows = Vec::new(); // lint: alloc-ok(compat wrapper; streaming uses the pooled variant)
-    propagate_correspondences_pooled(prev_disparity, flow_left, flow_right, &mut rows, out);
-}
-
-/// [`propagate_correspondences_into`] with caller-retained per-row write
-/// lists: the steady-state streaming hot path performs no allocation.  The
-/// write lists are computed row-parallel, each row zipped with its own
-/// retained buffer, then applied serially in source-row order (identical
-/// overwrite semantics to the serial reference).
-#[cfg(feature = "parallel")]
-pub fn propagate_correspondences_pooled(
-    prev_disparity: &DisparityMap,
-    flow_left: &FlowField,
-    flow_right: &FlowField,
-    rows: &mut Vec<Vec<(usize, usize, f32)>>,
-    out: &mut DisparityMap,
-) {
-    use rayon::prelude::*;
     let width = prev_disparity.width();
     let height = prev_disparity.height();
-    if rows.len() < height {
-        rows.resize_with(height, Vec::new);
+    out.reset_invalid(width, height);
+    if width == 0 || height == 0 {
+        return;
     }
-    for row in &mut rows[..height] {
-        // A source row emits at most one write per column; growing up front
-        // keeps the parallel fill allocation-free.
-        row.clear();
-        row.reserve(width);
+    assert!(
+        width * height < NO_TARGET as usize,
+        "{width}x{height} map has too many pixels for u32 targets"
+    );
+    for flow in [flow_left, flow_right] {
+        assert_eq!((flow.width(), flow.height()), (width, height), "flow size");
     }
-    rows[..height]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(y, row)| {
-            row_writes_into(prev_disparity, flow_left, flow_right, y, &mut row[0]);
-        });
-    apply_writes_into(width, height, &rows[..height], out);
-}
-
-/// Sequential build of [`propagate_correspondences_into`]: the same plain
-/// double loop as the serial reference, writing into the reusable map.
-#[cfg(not(feature = "parallel"))]
-pub fn propagate_correspondences_into(
-    prev_disparity: &DisparityMap,
-    flow_left: &FlowField,
-    flow_right: &FlowField,
-    out: &mut DisparityMap,
-) {
-    propagate_serial_into(prev_disparity, flow_left, flow_right, out);
+    // Every slot is assigned by the fill.
+    targets.resize(width * height, (NO_TARGET, 0.0));
+    let (w, h) = (width as f32, height as f32);
+    let (sources, left_u, left_v) = (
+        prev_disparity.as_image().as_slice(),
+        flow_left.u().as_slice(),
+        flow_left.v().as_slice(),
+    );
+    let right_u = flow_right.u().as_slice();
+    let fill_row = |(y, slots): (usize, &mut [(u32, f32)])| {
+        let start = y * width;
+        let (sources, left_u, left_v) = (
+            &sources[start..][..width],
+            &left_u[start..][..width],
+            &left_v[start..][..width],
+        );
+        // Every right-view sample of this row lies on row y.
+        let sample_row = BilinearAxis::new(height, y as f32);
+        for (x, slot) in slots.iter_mut().enumerate() {
+            *slot = (NO_TARGET, 0.0);
+            // Negative (and NaN) disparities are invalid.
+            let d = sources[x];
+            if !(0.0..).contains(&d) {
+                continue;
+            }
+            // Left member of the pair moves with the left-view flow.
+            let new_lx = x as f32 + left_u[x];
+            let new_ly = y as f32 + left_v[x];
+            // Right member (at x - d in the right view) moves with the
+            // right-view flow.
+            let rx = x as f32 - d;
+            if rx < 0.0 {
+                continue;
+            }
+            let sample_column = BilinearAxis::new(width, rx);
+            let ur = Bilinear::from_axes(width, sample_column, sample_row).sample(right_u);
+            let new_rx = rx + ur;
+            let new_d = new_lx - new_rx;
+            let (ix, iy) = (new_lx.round(), new_ly.round());
+            // Written as containment so NaN coordinates and non-finite
+            // disparities fail it.
+            if !((0.0..w).contains(&ix)
+                && (0.0..h).contains(&iy)
+                && (0.0..f32::INFINITY).contains(&new_d))
+            {
+                continue;
+            }
+            *slot = ((iy as usize * width + ix as usize) as u32, new_d);
+        }
+    };
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        targets.par_chunks_mut(width).enumerate().for_each(fill_row);
+    }
+    #[cfg(not(feature = "parallel"))]
+    targets.chunks_mut(width).enumerate().for_each(fill_row);
+    let values = out.as_image_mut().as_mut_slice();
+    for &(target, d) in targets.iter() {
+        if target != NO_TARGET {
+            values[target as usize] = d;
+        }
+    }
+    out.fill_invalid_horizontally();
 }
 
 /// Serial reference implementation of correspondence propagation: the plain
-/// double loop, deliberately *not* built from [`row_writes`]/
-/// `apply_writes_into` so the differential test compares two independent
-/// implementations.  Compiled in every configuration.
+/// double loop writing each target as it is found, deliberately *not* built
+/// from [`propagate_correspondences_into`]'s target buffer, so the
+/// differential test compares two independent implementations.
 pub fn propagate_correspondences_serial(
     prev_disparity: &DisparityMap,
     flow_left: &FlowField,
@@ -723,7 +708,12 @@ fn propagate_serial_into(
             let new_d = new_lx - new_rx;
             let ix = new_lx.round();
             let iy = new_ly.round();
-            if ix < 0.0 || iy < 0.0 || ix >= width as f32 || iy >= height as f32 || new_d < 0.0 {
+            // Containment, so NaN coordinates and non-finite disparities
+            // fail it.
+            if !((0.0..width as f32).contains(&ix)
+                && (0.0..height as f32).contains(&iy)
+                && (0.0..f32::INFINITY).contains(&new_d))
+            {
                 continue;
             }
             propagated.set(ix as usize, iy as usize, new_d);
@@ -923,6 +913,52 @@ mod tests {
             let fast = propagate_correspondences(&prev, &fl, &fr);
             let reference = propagate_correspondences_serial(&prev, &fl, &fr);
             assert_eq!(fast, reference);
+        }
+        // Columns collapse in threes and rows in pairs, so six sources
+        // share every target; the last in raster order must win.  Each
+        // source propagates its disparity + 3 - (x % 3).
+        let (width, height) = (12, 6);
+        let prev = DisparityMap::from_fn(width, height, |x, y| 0.25 * ((x + y) % 4) as f32);
+        let mut fl = FlowField::zeros(width, height);
+        for y in 0..height {
+            for x in 0..width {
+                fl.set(x, y, -((x % 3) as f32), -((y % 2) as f32));
+            }
+        }
+        let fr = FlowField::constant(width, height, -3.0, 0.0);
+        let fast = propagate_correspondences(&prev, &fl, &fr);
+        assert_eq!(fast, propagate_correspondences_serial(&prev, &fl, &fr));
+        // Target (3, 2) gets sources (3..6, 2..4): 3.25, 2.5, 1.75, 3.5,
+        // 2.75 and, last, 1.0 from (5, 3).
+        assert_eq!(fast.get(3, 2), Some(1.0));
+    }
+
+    /// A NaN in either view's flow must not overwrite a disparity another
+    /// source propagated: `as usize` maps a NaN column to 0, and a NaN
+    /// disparity would be filled over from its neighbour.
+    #[test]
+    fn nan_flow_never_overwrites_a_propagated_disparity() {
+        // Zero disparities and flows: every pixel propagates 0 onto itself.
+        let (width, height) = (8, 6);
+        let mut prev = DisparityMap::constant(width, height, 0.0);
+        let mut fl = FlowField::zeros(width, height);
+        let mut fr = FlowField::zeros(width, height);
+        // Left view: (0, 1) propagates 2, then the later source (5, 1) has
+        // a NaN column.
+        fr.set(0, 1, -2.0, 0.0);
+        fl.set(5, 1, f32::NAN, 0.0);
+        // Right view: (2, 4) propagates 2 (its right member at column 0),
+        // then the later source (3, 4) moves onto it with a NaN right-view
+        // flow.
+        prev.set(2, 4, 2.0);
+        fl.set(3, 4, -1.0, 0.0);
+        fr.set(3, 4, f32::NAN, 0.0);
+        for propagated in [
+            propagate_correspondences(&prev, &fl, &fr),
+            propagate_correspondences_serial(&prev, &fl, &fr),
+        ] {
+            assert_eq!(propagated.get(0, 1), Some(2.0));
+            assert_eq!(propagated.get(2, 4), Some(2.0));
         }
     }
 

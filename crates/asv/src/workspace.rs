@@ -20,6 +20,7 @@
 use asv_flow::farneback::FlowWorkspace;
 use asv_image::Image;
 use asv_mem::BufferPool;
+use asv_stereo::block_matching::PaddedPair;
 use asv_stereo::{DisparityMap, SgmWorkspace};
 use asv_trace::{TraceConfig, Tracer};
 
@@ -38,10 +39,12 @@ pub struct Workspace {
     /// Selection buffer of the adaptive key-frame policy's median-motion
     /// estimate.
     pub(crate) median_scratch: Vec<f32>,
-    /// Per-source-row write lists of the parallel correspondence
-    /// propagation, retained across frames.
-    #[cfg(feature = "parallel")]
-    pub(crate) propagation_rows: Vec<Vec<(usize, usize, f32)>>,
+    /// The correspondence propagation's target buffer: one
+    /// `(target index, disparity)` slot per source pixel.
+    pub(crate) propagation_targets: Vec<(u32, f32)>,
+    /// The replicate-padded copy of the frame pair the refinement search
+    /// walks.
+    pub(crate) padded_pair: PaddedPair,
     /// Per-stage span recorder: every [`IsmState::step_with`] call traces
     /// its pipeline stages here (ring-buffered per session, governed by
     /// `ASV_TRACE`; see the `asv_trace` crate).
@@ -72,8 +75,8 @@ impl Workspace {
             propagated: DisparityMap::invalid(0, 0),
             maps: BufferPool::new(),
             median_scratch: Vec::new(),
-            #[cfg(feature = "parallel")]
-            propagation_rows: Vec::new(),
+            propagation_targets: Vec::new(),
+            padded_pair: PaddedPair::new(),
             tracer: Tracer::new(trace),
         }
     }
@@ -97,30 +100,23 @@ impl Workspace {
     }
 
     /// Bytes retained by every buffer of the workspace: both flow
-    /// workspaces, the SGM scratch, the propagated map, the pooled planes and
-    /// the propagation and median scratch.  Useful for capacity-planning
-    /// many concurrent sessions.
+    /// workspaces, the SGM scratch, the propagated map and its target
+    /// buffer, the padded pair, the pooled planes and the median scratch.
+    /// Useful for capacity-planning many concurrent sessions.
     pub fn retained_bytes(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        let propagation_rows = self
-            .propagation_rows
-            .iter()
-            .map(|row| row.capacity() * std::mem::size_of::<(usize, usize, f32)>())
-            .sum::<usize>();
-        #[cfg(not(feature = "parallel"))]
-        let propagation_rows = 0;
         self.flow_left.retained_bytes()
             + self.flow_right.retained_bytes()
             + self.stereo.retained_bytes()
             + self.propagated.as_image().retained_bytes()
+            + self.propagation_targets.capacity() * std::mem::size_of::<(u32, f32)>()
+            + self.padded_pair.retained_bytes()
             + self.maps.retained_bytes()
             + self.median_scratch.capacity() * std::mem::size_of::<f32>()
-            + propagation_rows
     }
 
-    /// Releases every retained buffer — the pooled planes, the SGM scratch
-    /// and the flow workspaces (e.g. when a stream goes idle); the next
-    /// frame re-warms them.
+    /// Releases every retained buffer — the pooled planes, the SGM scratch,
+    /// the flow workspaces, the propagation and refinement scratch (e.g.
+    /// when a stream goes idle); the next frame re-warms them.
     pub fn trim(&mut self) {
         *self = Workspace::with_trace_config(*self.tracer.config());
     }
@@ -153,6 +149,44 @@ mod tests {
         assert_eq!((again.width(), again.height()), (8, 4));
         assert_eq!(ws.maps.hits(), 1);
         ws.recycle(again);
+        ws.trim();
+        assert_eq!(ws.retained_bytes(), 0);
+    }
+
+    /// The non-key scratch (the propagation's target buffer and the padded
+    /// pair refinement walks) is counted and released like the rest.
+    #[test]
+    fn retained_bytes_counts_the_non_key_scratch() {
+        use asv_flow::FlowField;
+        use asv_stereo::block_matching::{refine_with_initial_into, BlockMatchParams};
+        let (width, height) = (24, 10);
+        let mut ws = Workspace::new();
+        let prev = DisparityMap::constant(width, height, 3.0);
+        let flow = FlowField::zeros(width, height);
+        crate::ism::propagate_correspondences_into(
+            &prev,
+            &flow,
+            &flow,
+            &mut ws.propagation_targets,
+            &mut ws.propagated,
+        );
+        let targets = width * height * std::mem::size_of::<(u32, f32)>();
+        assert!(ws.retained_bytes() >= targets + width * height * 4);
+        let image = Image::from_fn(width, height, |x, y| ((x * 7 + y * 3) % 5) as f32);
+        let mut out = DisparityMap::invalid(0, 0);
+        let before = ws.retained_bytes();
+        refine_with_initial_into(
+            &image,
+            &image,
+            &ws.propagated,
+            &BlockMatchParams::default(),
+            &mut ws.padded_pair,
+            &mut out,
+        )
+        .unwrap();
+        // Two planes with a 3-pixel border, plus 7 columns of lane overhang.
+        let padded = 2 * (width + 2 * 3 + 7) * (height + 2 * 3) * 4;
+        assert!(ws.retained_bytes() >= before + padded);
         ws.trim();
         assert_eq!(ws.retained_bytes(), 0);
     }

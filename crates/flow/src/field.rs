@@ -1,6 +1,6 @@
 //! Dense displacement fields and their quality metrics.
 
-use asv_image::{Bilinear, Image};
+use asv_image::{Bilinear, BilinearAxis, Image};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -269,12 +269,26 @@ impl FlowField {
         // Every pixel is assigned below, so the planes need no fill.
         out.reshape_scratch(new_width, new_height);
         let (out_u, out_v) = out.components_mut();
-        for y in 0..new_height {
-            for x in 0..new_width {
-                let footprint = Bilinear::new(width, height, x as f32 / sx, y as f32 / sy);
-                let i = y * new_width + x;
-                out_u[i] = footprint.sample(u) * sx;
-                out_v[i] = footprint.sample(v) * sy;
+        // Pixel (x, y) samples at (x / sx, y / sy): its footprint is that of
+        // its column combined with that of its row, each computed once per
+        // strip of columns.
+        const STRIP: usize = 128;
+        let mut columns = [BilinearAxis::default(); STRIP];
+        for x0 in (0..new_width).step_by(STRIP) {
+            let columns = &mut columns[..STRIP.min(new_width - x0)];
+            for (x, column) in (x0..).zip(columns.iter_mut()) {
+                *column = BilinearAxis::new(width, x as f32 / sx);
+            }
+            for y in 0..new_height {
+                let row = BilinearAxis::new(height, y as f32 / sy);
+                let start = y * new_width + x0;
+                let out_u = &mut out_u[start..][..columns.len()];
+                let out_v = &mut out_v[start..][..columns.len()];
+                for ((column, u_out), v_out) in columns.iter().zip(out_u).zip(out_v) {
+                    let footprint = Bilinear::from_axes(width, *column, row);
+                    *u_out = footprint.sample(u) * sx;
+                    *v_out = footprint.sample(v) * sy;
+                }
             }
         }
     }
@@ -354,6 +368,70 @@ mod tests {
         assert_eq!(g.at(8, 8), (2.0, 2.0));
         let empty = FlowField::zeros(0, 0).resample(4, 4);
         assert_eq!(empty.at(0, 0), (0.0, 0.0));
+    }
+
+    /// The per-pixel bilinear formula, spelled out: clamp, truncate,
+    /// interpolate left to right, scale.
+    fn resample_per_pixel(f: &FlowField, new_width: usize, new_height: usize) -> Vec<u32> {
+        let (w, h) = (f.width(), f.height());
+        let (sx, sy) = (new_width as f32 / w as f32, new_height as f32 / h as f32);
+        let sample = |plane: &Image, x: f32, y: f32| {
+            let x = x.clamp(0.0, (w - 1) as f32);
+            let y = y.clamp(0.0, (h - 1) as f32);
+            let (x0, y0) = (x as usize, y as usize);
+            let (x1, y1) = ((x0 + 1).min(w - 1), (y0 + 1).min(h - 1));
+            let (dx, dy) = (x - x0 as f32, y - y0 as f32);
+            plane.at(x0, y0) * (1.0 - dx) * (1.0 - dy)
+                + plane.at(x1, y0) * dx * (1.0 - dy)
+                + plane.at(x0, y1) * (1.0 - dx) * dy
+                + plane.at(x1, y1) * dx * dy
+        };
+        let mut bits = Vec::new();
+        for (plane, scale) in [(f.u(), sx), (f.v(), sy)] {
+            for y in 0..new_height {
+                for x in 0..new_width {
+                    let value = sample(plane, x as f32 / sx, y as f32 / sy) * scale;
+                    bits.push(value.to_bits());
+                }
+            }
+        }
+        bits
+    }
+
+    /// The strip-wise resample against the per-pixel formula, bit for bit:
+    /// up- and downsampling at non-integer scales, fields 1 px wide or high,
+    /// and output wider than one strip of columns.
+    #[test]
+    fn resample_matches_the_per_pixel_formula() {
+        let sizes = [
+            ((71, 53), (35, 26)),
+            ((35, 26), (71, 53)),
+            ((1, 9), (5, 17)),
+            ((6, 1), (1, 4)),
+            ((1, 1), (3, 2)),
+            ((160, 90), (320, 180)),
+            ((97, 3), (301, 7)),
+        ];
+        for ((w, h), (new_w, new_h)) in sizes {
+            let mut f = FlowField::zeros(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    let t = (x * 31 + y * 17) as f32;
+                    f.set(x, y, (t * 0.37).sin() * 3.0, (t * 0.11).cos() - 0.5);
+                }
+            }
+            let mut out = FlowField::zeros(0, 0);
+            f.resample_into(new_w, new_h, &mut out);
+            let got: Vec<u32> = [out.u(), out.v()]
+                .iter()
+                .flat_map(|plane| plane.as_slice().iter().map(|v| v.to_bits()))
+                .collect();
+            assert_eq!(
+                got,
+                resample_per_pixel(&f, new_w, new_h),
+                "{w}x{h} -> {new_w}x{new_h}"
+            );
+        }
     }
 
     #[test]

@@ -338,6 +338,32 @@ impl Default for Image {
     }
 }
 
+/// One axis of a [`Bilinear`] footprint: the two neighbouring indices of a
+/// coordinate clamped to the axis, and its fraction between them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BilinearAxis {
+    i0: usize,
+    i1: usize,
+    frac: f32,
+}
+
+impl BilinearAxis {
+    /// Footprint of coordinate `t` on an axis of `len` samples (non-zero),
+    /// clamped to `[0, len - 1]`; NaN maps to index 0 with a NaN fraction.
+    #[inline]
+    pub fn new(len: usize, t: f32) -> Self {
+        let t = t.clamp(0.0, (len - 1) as f32);
+        // After the clamp a coordinate is non-negative, `-0.0` or NaN, and
+        // for all three the truncating cast equals `floor` (NaN casts to 0).
+        let i0 = t as usize;
+        Self {
+            i0,
+            i1: (i0 + 1).min(len - 1),
+            frac: t - i0 as f32,
+        }
+    }
+}
+
 /// The footprint of one bilinear sample in a row-major `width × height`
 /// plane: the flat indices of the four neighbouring pixels and the two
 /// interpolation fractions.
@@ -366,22 +392,27 @@ impl Bilinear {
     /// sample is NaN rather than a panic.
     #[inline]
     pub fn new(width: usize, height: usize, x: f32, y: f32) -> Self {
-        let x = x.clamp(0.0, (width - 1) as f32);
-        let y = y.clamp(0.0, (height - 1) as f32);
-        // After the clamp a coordinate is non-negative, `-0.0` or NaN, and
-        // for all three the truncating cast equals `floor` (NaN casts to 0).
-        let x0 = x as usize;
-        let y0 = y as usize;
-        let x1 = (x0 + 1).min(width - 1);
-        let row0 = y0 * width;
-        let row1 = (y0 + 1).min(height - 1) * width;
+        Self::from_axes(
+            width,
+            BilinearAxis::new(width, x),
+            BilinearAxis::new(height, y),
+        )
+    }
+
+    /// The footprint in a plane `width` pixels wide whose column and row
+    /// are `x` and `y`.  Sampling on a grid, one axis footprint per column
+    /// and one per row give every pixel's footprint without redoing the
+    /// clamps and truncations; the result equals [`Bilinear::new`]'s.
+    #[inline]
+    pub fn from_axes(width: usize, x: BilinearAxis, y: BilinearAxis) -> Self {
+        let (row0, row1) = (y.i0 * width, y.i1 * width);
         Self {
-            i00: row0 + x0,
-            i10: row0 + x1,
-            i01: row1 + x0,
-            i11: row1 + x1,
-            dx: x - x0 as f32,
-            dy: y - y0 as f32,
+            i00: row0 + x.i0,
+            i10: row0 + x.i1,
+            i01: row1 + x.i0,
+            i11: row1 + x.i1,
+            dx: x.frac,
+            dy: y.frac,
         }
     }
 

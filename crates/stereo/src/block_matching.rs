@@ -9,10 +9,18 @@
 //!   correspondence-*refinement* step of the ISM algorithm (Sec. 3.2, step 4):
 //!   the initial disparity comes from the correspondences propagated from the
 //!   key frame, so a tiny search window suffices.
+//!
+//! Both run one search: the pair is copied once per call into a
+//! [`PaddedPair`] with replicated borders, and every pixel's window is summed
+//! in 8-candidate walks over it ([`crate::simd::sad_walks`]), with the same
+//! adds in the same order as the border-clamped
+//! [`asv_image::cost::block_sad`], so the output is the same at every SIMD
+//! tier.
 
 use crate::disparity::{DisparityMap, StereoError};
+use crate::simd::{self, SimdLevel, SAD_LANES};
 use crate::Result;
-use asv_image::cost::{block_sad, sad_ops_per_block, BlockSpec};
+use asv_image::cost::{sad_ops_per_block, BlockSpec};
 use asv_image::Image;
 use serde::{Deserialize, Serialize};
 
@@ -62,34 +70,126 @@ fn check_pair(left: &Image, right: &Image) -> Result<()> {
     Ok(())
 }
 
-/// Candidates the lane walk of [`search_range`] evaluates together: one
-/// accumulator lane each, filling two SSE registers or one AVX2 register.
-const LANES: usize = 8;
+/// A stereo pair copied with replicated borders: `radius` rows above and
+/// below, `radius` columns on the left and `radius + SAD_LANES - 1` on the
+/// right, the overhang of a walk's last lanes.  Every block the matcher
+/// reads, with any candidate in `0..=x` at pixel `x`, is then a plain slice
+/// holding exactly the border-clamped taps `block_sad` reads.  Reused across
+/// calls: refilling a pair of the same size allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PaddedPair {
+    left: Vec<f32>,
+    right: Vec<f32>,
+    /// Row stride of both planes.
+    stride: usize,
+}
 
-/// Searches disparities `lo..=hi` for the best SAD match of the block centred
-/// at `(x, y)`, returning `(best_disparity, best_cost)` with optional
-/// parabolic sub-pixel refinement.  Windows the lane walk can take
-/// ([`lane_costs`]) are summed in one pass over the block; the rest go
-/// candidate by candidate ([`search_per_candidate`]).  Both give the same
-/// bits.
-fn search_range(
-    left: &Image,
-    right: &Image,
-    x: usize,
-    y: usize,
-    lo: usize,
-    hi: usize,
-    params: &BlockMatchParams,
-) -> (f32, f32) {
-    match lane_costs(left, right, x, y, lo, hi, params.block) {
-        Some(lanes) => pick_best(lo, hi, params.subpixel, |d| lanes[hi - d]),
-        None => search_per_candidate(left, right, x, y, lo, hi, params),
+impl PaddedPair {
+    /// An empty pair; the first match sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bytes retained by the two planes.
+    pub fn retained_bytes(&self) -> usize {
+        (self.left.capacity() + self.right.capacity()) * std::mem::size_of::<f32>()
+    }
+
+    /// Copies the (non-empty, equally sized) pair with a border of `radius`.
+    fn fill(&mut self, left: &Image, right: &Image, radius: usize) {
+        let (width, height) = (left.width(), left.height());
+        self.stride = width + 2 * radius + SAD_LANES - 1;
+        for (plane, image) in [(&mut self.left, left), (&mut self.right, right)] {
+            plane.clear();
+            plane.reserve(self.stride * (height + 2 * radius));
+            for padded_y in 0..height + 2 * radius {
+                let y = padded_y.saturating_sub(radius).min(height - 1);
+                let row = &image.as_slice()[y * width..][..width];
+                plane.extend(std::iter::repeat_n(row[0], radius));
+                plane.extend_from_slice(row);
+                plane.extend(std::iter::repeat_n(row[width - 1], radius + SAD_LANES - 1));
+            }
+        }
     }
 }
 
-/// The reference search: one [`block_sad`] per candidate.  It serves border
-/// pixels and windows wider than [`LANES`], and the tests compare the lane
-/// walk against it.
+/// One [`SAD_LANES`]-candidate walk of pixel `x`'s window `lo..=hi`: lane
+/// `k` holds disparity `top - k`.  A window wider than the lanes is walked
+/// as a chain of walks whose tops step down from `hi` by [`SAD_LANES`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Walk {
+    x: usize,
+    lo: usize,
+    hi: usize,
+    top: usize,
+}
+
+/// Walks every pixel of row `y` of the padded pair over the window
+/// `window(x)` gives it (`lo <= hi <= x`) and reports each pixel's
+/// `(x, disparity, cost)` to `emit`, in column order.  The walks go to
+/// [`simd::sad_walks`] four at a time, each pixel's from its lowest
+/// candidates up, so one running [`Winner`] sees every window in ascending
+/// disparity order, as the reference search does.
+fn search_row(
+    level: SimdLevel,
+    pad: &PaddedPair,
+    y: usize,
+    width: usize,
+    params: &BlockMatchParams,
+    window: impl Fn(usize) -> (usize, usize),
+    mut emit: impl FnMut(usize, f32, f32),
+) {
+    let side = 2 * params.block.radius + 1;
+    // Pixel (x, y)'s block starts at padded (x, y); candidate d's at (x - d, y).
+    let base = y * pad.stride;
+    let mut walks = (0..width).flat_map(|x| {
+        let (lo, hi) = window(x);
+        let lowest = lo + (hi - lo) % SAD_LANES;
+        (lowest..=hi)
+            .step_by(SAD_LANES)
+            .map(move |top| Walk { x, lo, hi, top })
+    });
+    let mut winner = Winner::new(0);
+    loop {
+        let mut batch = [Walk::default(); 4];
+        let mut len = 0;
+        for (slot, walk) in batch.iter_mut().zip(&mut walks) {
+            *slot = walk;
+            len += 1;
+        }
+        if len == 0 {
+            return;
+        }
+        let offsets = batch.map(|w| (base + w.x, base + w.x - w.top));
+        let mut costs = [[0.0f32; SAD_LANES]; 4];
+        simd::sad_walks(
+            level,
+            &pad.left,
+            &pad.right,
+            pad.stride,
+            side,
+            &offsets[..len],
+            &mut costs[..len],
+        );
+        for (walk, lanes) in batch[..len].iter().zip(&costs) {
+            let first = walk.top.saturating_sub(SAD_LANES - 1).max(walk.lo);
+            if first == walk.lo {
+                winner = Winner::new(walk.lo);
+            }
+            for d in first..=walk.top {
+                winner.push(d, lanes[walk.top - d]);
+            }
+            if walk.top == walk.hi {
+                let (d, cost) = winner.finish(walk.hi, params.subpixel);
+                emit(walk.x, d, cost);
+            }
+        }
+    }
+}
+
+/// The reference search: one [`asv_image::cost::block_sad`] per candidate
+/// on the unpadded pair.  The tests compare [`search_row`] against it.
+#[cfg(test)]
 fn search_per_candidate(
     left: &Image,
     right: &Image,
@@ -100,7 +200,7 @@ fn search_per_candidate(
     params: &BlockMatchParams,
 ) -> (f32, f32) {
     pick_best(lo, hi, params.subpixel, |d| {
-        block_sad(
+        asv_image::cost::block_sad(
             left,
             right,
             x as isize,
@@ -112,114 +212,152 @@ fn search_per_candidate(
     })
 }
 
-/// SAD costs of the candidates `lo..=hi` in one walk of the block, lane `k`
-/// holding disparity `hi - k`; `None` unless the window fits in [`LANES`]
-/// and every lane's block (the unused lanes' too) lies inside the images.
-/// For one block tap the right-image pixels of all lanes are contiguous, so
-/// the lane loop vectorizes, and each lane receives the same adds in the
-/// same order as [`block_sad`]'s interior path: the costs are bit-identical.
-fn lane_costs(
-    left: &Image,
-    right: &Image,
-    x: usize,
-    y: usize,
+/// Winner-take-all over candidates pushed in ascending disparity order from
+/// `lo`, keeping the first minimum (strict `<`, so ties go to the smallest
+/// disparity) and tracking the winner's two neighbours for the parabolic
+/// sub-pixel refinement.
+#[derive(Debug, Clone, Copy)]
+struct Winner {
     lo: usize,
-    hi: usize,
-    block: BlockSpec,
-) -> Option<[f32; LANES]> {
-    let r = block.radius;
-    let (width, height) = (left.width(), left.height());
-    let fits = hi - lo < LANES
-        && y >= r
-        && y + r < height
-        && x >= hi + r
-        && x + r < width
-        && x - hi + (LANES - 1) + r < width;
-    if !fits {
-        return None;
-    }
-    let side = 2 * r + 1;
-    let (lpix, rpix) = (left.as_slice(), right.as_slice());
-    let mut acc = [0.0f32; LANES];
-    for row in y - r..=y + r {
-        let lrow = &lpix[row * width + x - r..][..side];
-        let rrow = &rpix[row * width + x - hi - r..][..side + LANES - 1];
-        for (&a, taps) in lrow.iter().zip(rrow.windows(LANES)) {
-            for (lane, &b) in acc.iter_mut().zip(taps) {
-                *lane += (a - b).abs();
-            }
-        }
-    }
-    Some(acc)
+    best_d: usize,
+    best_cost: f32,
+    previous: f32,
+    before: f32,
+    after: f32,
 }
 
-/// Winner-take-all over the candidates `lo..=hi` in ascending order, keeping
-/// the first minimum (strict `<`, so ties go to the smallest disparity), with
-/// parabolic sub-pixel refinement from the winner's two neighbours, which the
-/// scan tracks as it goes.
+impl Winner {
+    fn new(lo: usize) -> Self {
+        Self {
+            lo,
+            best_d: lo,
+            best_cost: f32::INFINITY,
+            previous: f32::INFINITY,
+            before: f32::INFINITY,
+            after: f32::INFINITY,
+        }
+    }
+
+    /// Takes candidate `d`'s cost; `d` is one above the last pushed (`lo`
+    /// first).
+    fn push(&mut self, d: usize, cost: f32) {
+        if d == self.best_d + 1 {
+            self.after = cost;
+        }
+        if cost < self.best_cost {
+            self.best_cost = cost;
+            self.best_d = d;
+            self.before = self.previous;
+        }
+        self.previous = cost;
+    }
+
+    /// `(disparity, cost)` of the winner once `hi` was pushed.
+    fn finish(&self, hi: usize, subpixel: bool) -> (f32, f32) {
+        let (best_d, best_cost) = (self.best_d, self.best_cost);
+        if !subpixel || best_d == self.lo || best_d == hi {
+            return (best_d as f32, best_cost);
+        }
+        let denom = self.before - 2.0 * best_cost + self.after;
+        if denom.abs() < 1e-9 {
+            return (best_d as f32, best_cost);
+        }
+        let offset = (0.5 * (self.before - self.after) / denom).clamp(-0.5, 0.5);
+        (best_d as f32 + offset, best_cost)
+    }
+}
+
+/// [`Winner`] over the candidates `lo..=hi`, costed by `cost_of`.
+#[cfg(test)]
 fn pick_best(
     lo: usize,
     hi: usize,
     subpixel: bool,
     mut cost_of: impl FnMut(usize) -> f32,
 ) -> (f32, f32) {
-    let mut best_d = lo;
-    let mut best_cost = f32::INFINITY;
-    let (mut previous, mut before, mut after) = (f32::INFINITY, f32::INFINITY, f32::INFINITY);
+    let mut winner = Winner::new(lo);
     for d in lo..=hi {
-        let cost = cost_of(d);
-        if d == best_d + 1 {
-            after = cost;
-        }
-        if cost < best_cost {
-            best_cost = cost;
-            best_d = d;
-            before = previous;
-        }
-        previous = cost;
+        winner.push(d, cost_of(d));
     }
-    if !subpixel || best_d == lo || best_d == hi {
-        return (best_d as f32, best_cost);
-    }
-    let denom = before - 2.0 * best_cost + after;
-    if denom.abs() < 1e-9 {
-        return (best_d as f32, best_cost);
-    }
-    let offset = (0.5 * (before - after) / denom).clamp(-0.5, 0.5);
-    (best_d as f32 + offset, best_cost)
+    winner.finish(hi, subpixel)
 }
 
-/// Evaluates a per-pixel matcher over the whole image, writing straight into
-/// the rows of a reusable output map.  Rows are independent, so with the
-/// `parallel` feature they are distributed over the rayon pool; either way
-/// the pass allocates nothing and the produced values are identical.
-/// Pixels map to [`crate::disparity::INVALID_DISPARITY`] when no match
-/// qualifies.
-fn match_per_pixel_into(
-    width: usize,
-    height: usize,
+/// Matches every pixel of the (checked) pair over the window
+/// `window(x, y)`, writing the disparities into a reusable output map; a
+/// pixel whose winning cost exceeds `max_cost_per_pixel` per block pixel
+/// gets [`crate::disparity::INVALID_DISPARITY`].  Rows are independent, so
+/// with the `parallel` feature they are distributed over the rayon pool;
+/// either way the pass allocates nothing once `pad` and `out` are warm, and
+/// the produced values are identical.
+fn match_into(
+    level: SimdLevel,
+    left: &Image,
+    right: &Image,
+    params: &BlockMatchParams,
+    pad: &mut PaddedPair,
     out: &mut DisparityMap,
-    per_pixel: impl Fn(usize, usize) -> f32 + Sync,
+    window: impl Fn(usize, usize) -> (usize, usize) + Sync,
 ) {
-    // Every pixel is assigned by the per-pixel matcher (invalid pixels get
-    // the marker value directly), so the plane needs no fill.
+    let (width, height) = (left.width(), left.height());
+    pad.fill(left, right, params.block.radius);
+    let pad = &*pad;
+    let cost_limit = params.max_cost_per_pixel * params.block.area() as f32;
+    // Every pixel is assigned by the search, so the plane needs no fill.
     out.reshape_scratch(width, height);
+    let match_row = |(y, row): (usize, &mut [f32])| {
+        search_row(
+            level,
+            pad,
+            y,
+            width,
+            params,
+            |x| window(x, y),
+            |x, d, cost| {
+                row[x] = if cost <= cost_limit {
+                    d
+                } else {
+                    crate::disparity::INVALID_DISPARITY
+                };
+            },
+        );
+    };
     let data = out.as_image_mut().as_mut_slice();
     #[cfg(feature = "parallel")]
     {
         use rayon::prelude::*;
-        data.par_chunks_mut(width).enumerate().for_each(|(y, row)| {
-            for (x, slot) in row.iter_mut().enumerate() {
-                *slot = per_pixel(x, y);
-            }
-        });
+        data.par_chunks_mut(width).enumerate().for_each(match_row);
     }
     #[cfg(not(feature = "parallel"))]
-    for (y, row) in data.chunks_mut(width).enumerate() {
-        for (x, slot) in row.iter_mut().enumerate() {
-            *slot = per_pixel(x, y);
-        }
-    }
+    data.chunks_mut(width).enumerate().for_each(match_row);
+}
+
+/// The full-range window of a pixel in column `x`: `0..=max_disparity`,
+/// clipped so the candidate block starts inside the image.
+fn full_window(params: &BlockMatchParams, x: usize) -> (usize, usize) {
+    (0, params.max_disparity.min(x))
+}
+
+/// The refinement window of pixel `(x, y)`: `±refine_radius` around the
+/// rounded initial disparity, clipped like [`full_window`], or the full
+/// range where the initial disparity is invalid.
+fn refine_window(
+    initial: &DisparityMap,
+    params: &BlockMatchParams,
+    x: usize,
+    y: usize,
+) -> (usize, usize) {
+    let Some(init) = initial.get(x, y) else {
+        return full_window(params, x);
+    };
+    // `as usize` saturates, so a huge or infinite initial disparity must
+    // not overflow the window's upper end.
+    let centre = init.round().max(0.0) as usize;
+    let lo = centre.saturating_sub(params.refine_radius);
+    let hi = centre
+        .saturating_add(params.refine_radius)
+        .min(params.max_disparity)
+        .min(x);
+    (lo.min(hi), hi)
 }
 
 /// Full-range local block matching over disparities `0..=max_disparity`.
@@ -230,12 +368,12 @@ fn match_per_pixel_into(
 /// [`StereoError::InvalidParameter`] for empty images.
 pub fn block_match(left: &Image, right: &Image, params: &BlockMatchParams) -> Result<DisparityMap> {
     let mut out = DisparityMap::invalid(0, 0);
-    block_match_into(left, right, params, &mut out)?;
+    block_match_into(left, right, params, &mut PaddedPair::new(), &mut out)?;
     Ok(out)
 }
 
-/// [`block_match`] writing into a reusable output map: identical output, no
-/// allocation once the map is warm.
+/// [`block_match`] writing into a reusable output map through a reusable
+/// padded pair: identical output, no allocation once both are warm.
 ///
 /// # Errors
 ///
@@ -244,19 +382,19 @@ pub fn block_match_into(
     left: &Image,
     right: &Image,
     params: &BlockMatchParams,
+    pad: &mut PaddedPair,
     out: &mut DisparityMap,
 ) -> Result<()> {
     check_pair(left, right)?;
-    let cost_limit = params.max_cost_per_pixel * params.block.area() as f32;
-    match_per_pixel_into(left.width(), left.height(), out, |x, y| {
-        let hi = params.max_disparity.min(x);
-        let (d, cost) = search_range(left, right, x, y, 0, hi, params);
-        if cost <= cost_limit {
-            d
-        } else {
-            crate::disparity::INVALID_DISPARITY
-        }
-    });
+    match_into(
+        simd::active_level(),
+        left,
+        right,
+        params,
+        pad,
+        out,
+        |x, _| full_window(params, x),
+    );
     Ok(())
 }
 
@@ -279,13 +417,20 @@ pub fn refine_with_initial(
     params: &BlockMatchParams,
 ) -> Result<DisparityMap> {
     let mut out = DisparityMap::invalid(0, 0);
-    refine_with_initial_into(left, right, initial, params, &mut out)?;
+    refine_with_initial_into(
+        left,
+        right,
+        initial,
+        params,
+        &mut PaddedPair::new(),
+        &mut out,
+    )?;
     Ok(out)
 }
 
-/// [`refine_with_initial`] writing into a reusable output map: identical
-/// output, no allocation once the map is warm.  This is the ISM
-/// non-key-frame hot path.
+/// [`refine_with_initial`] writing into a reusable output map through a
+/// reusable padded pair: identical output, no allocation once both are
+/// warm.  This is the ISM non-key-frame hot path.
 ///
 /// # Errors
 ///
@@ -295,6 +440,7 @@ pub fn refine_with_initial_into(
     right: &Image,
     initial: &DisparityMap,
     params: &BlockMatchParams,
+    pad: &mut PaddedPair,
     out: &mut DisparityMap,
 ) -> Result<()> {
     check_pair(left, right)?;
@@ -308,29 +454,15 @@ pub fn refine_with_initial_into(
             left.height()
         )));
     }
-    let cost_limit = params.max_cost_per_pixel * params.block.area() as f32;
-    match_per_pixel_into(left.width(), left.height(), out, |x, y| {
-        let (lo, hi) = match initial.get(x, y) {
-            Some(init) => {
-                // `as usize` saturates, so a huge or infinite initial
-                // disparity must not overflow the window's upper end.
-                let centre = init.round().max(0.0) as usize;
-                let lo = centre.saturating_sub(params.refine_radius);
-                let hi = centre
-                    .saturating_add(params.refine_radius)
-                    .min(params.max_disparity)
-                    .min(x);
-                (lo.min(hi), hi)
-            }
-            None => (0, params.max_disparity.min(x)),
-        };
-        let (d, cost) = search_range(left, right, x, y, lo, hi, params);
-        if cost <= cost_limit {
-            d
-        } else {
-            crate::disparity::INVALID_DISPARITY
-        }
-    });
+    match_into(
+        simd::active_level(),
+        left,
+        right,
+        params,
+        pad,
+        out,
+        |x, y| refine_window(initial, params, x, y),
+    );
     Ok(())
 }
 
@@ -505,16 +637,50 @@ mod tests {
         }
     }
 
-    /// The lane walk against the per-candidate reference, bit for bit:
-    /// random images whose widths straddle the 8-lane boundary, block radii
-    /// 0-4, windows of 1-8 and of 9 or more candidates, `subpixel` on and
+    /// Every pixel's `(x, y, lo, hi, disparity, cost)` from [`search_row`]
+    /// at `level` over the windows `window` gives.
+    fn walk_every_row(
+        level: SimdLevel,
+        left: &Image,
+        right: &Image,
+        params: &BlockMatchParams,
+        window: impl Fn(usize, usize) -> (usize, usize),
+    ) -> Vec<(usize, usize, usize, usize, f32, f32)> {
+        let mut pad = PaddedPair::new();
+        pad.fill(left, right, params.block.radius);
+        let mut found = Vec::new();
+        for y in 0..left.height() {
+            search_row(
+                level,
+                &pad,
+                y,
+                left.width(),
+                params,
+                |x| window(x, y),
+                |x, d, cost| {
+                    let (lo, hi) = window(x, y);
+                    found.push((x, y, lo, hi, d, cost));
+                },
+            );
+        }
+        found
+    }
+
+    /// The padded walk against the per-candidate reference, bit for bit, at
+    /// every SIMD tier, both per pixel and through the matcher's row pass
+    /// with its cost limit: images 1-13 px wide (most widths no multiple of
+    /// the four-pixel groups) and 1-9 rows high (often shorter than the
+    /// block), block radii 0-4, random windows of 1-8 and of 9 or more
+    /// candidates, the full-range windows and the refinement windows of
+    /// initial maps with invalid, NaN and ±Inf entries, `subpixel` on and
     /// off, and quantized and constant images, whose equal costs force ties.
     #[test]
     fn lane_walk_matches_per_candidate_search() {
         let mut rng = SmallRng::seed_from_u64(16);
-        let mut lane_searches = 0usize;
-        for case in 0..30usize {
-            let width = rng.gen_range(4..28usize);
+        let mut wide_windows = 0usize;
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0, 1e9];
+        for case in 0..60usize {
+            let width = rng.gen_range(1..14usize);
             let height = rng.gen_range(1..10usize);
             let mut pixel = |_: usize, _: usize| match case % 3 {
                 0 => rng.gen_range(0.0..1.0f32),
@@ -523,35 +689,69 @@ mod tests {
             };
             let left = Image::from_fn(width, height, &mut pixel);
             let right = Image::from_fn(width, height, &mut pixel);
-            let block = BlockSpec::new(case % 5);
-            for subpixel in [true, false] {
-                let params = BlockMatchParams {
-                    block,
-                    subpixel,
-                    ..Default::default()
-                };
-                for (x, y) in (0..height).flat_map(|y| (0..width).map(move |x| (x, y))) {
-                    for lo in 0..=x {
-                        for hi in lo..=(lo + 9).min(x) {
-                            let got = search_range(&left, &right, x, y, lo, hi, &params);
-                            let want = search_per_candidate(&left, &right, x, y, lo, hi, &params);
-                            assert_eq!(
-                                (got.0.to_bits(), got.1.to_bits()),
-                                (want.0.to_bits(), want.1.to_bits()),
-                                "case {case} ({width}x{height}, r {}) pixel ({x}, {y}) window {lo}..={hi}",
-                                block.radius
-                            );
-                            lane_searches += usize::from(
-                                lane_costs(&left, &right, x, y, lo, hi, block).is_some(),
-                            );
-                        }
+            let initial = DisparityMap::from_fn(width, height, |_, _| {
+                if rng.gen_range(0..4u32) == 0 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(0.0..14.0f32)
+                }
+            });
+            let spans: Vec<usize> = (0..width * height)
+                .map(|_| rng.gen_range(0..20usize))
+                .collect();
+            let random_window = |x: usize, y: usize| {
+                let hi = x.min(spans[y * width + x] % 13 + x / 2);
+                (
+                    hi.saturating_sub(spans[(y * width + x + 1) % spans.len()]),
+                    hi,
+                )
+            };
+            let params = BlockMatchParams {
+                block: BlockSpec::new(case % 5),
+                max_disparity: rng.gen_range(0..20usize),
+                refine_radius: rng.gen_range(0..5usize),
+                subpixel: case % 2 == 0,
+                max_cost_per_pixel: if case % 4 == 3 { 0.3 } else { f32::INFINITY },
+            };
+            let windows: [&(dyn Fn(usize, usize) -> (usize, usize) + Sync); 3] =
+                [&random_window, &|x, _| full_window(&params, x), &|x, y| {
+                    refine_window(&initial, &params, x, y)
+                }];
+            let cost_limit = params.max_cost_per_pixel * params.block.area() as f32;
+            let (mut pad, mut map) = (PaddedPair::new(), DisparityMap::invalid(0, 0));
+            for &level in crate::simd::available_levels() {
+                for window in windows {
+                    let found = walk_every_row(level, &left, &right, &params, window);
+                    assert_eq!(found.len(), width * height);
+                    match_into(level, &left, &right, &params, &mut pad, &mut map, window);
+                    for (i, &(x, y, lo, hi, d, cost)) in found.iter().enumerate() {
+                        assert_eq!((x, y), (i % width, i / width));
+                        let want = search_per_candidate(&left, &right, x, y, lo, hi, &params);
+                        let context = format!(
+                            "case {case} ({width}x{height}, r {}) at {} pixel ({x}, {y}) \
+                             window {lo}..={hi}",
+                            params.block.radius,
+                            level.name()
+                        );
+                        assert_eq!(
+                            (d.to_bits(), cost.to_bits()),
+                            (want.0.to_bits(), want.1.to_bits()),
+                            "{context}"
+                        );
+                        let kept = if want.1 <= cost_limit {
+                            want.0
+                        } else {
+                            crate::disparity::INVALID_DISPARITY
+                        };
+                        assert_eq!(map.raw(x, y).to_bits(), kept.to_bits(), "{context}");
+                        wide_windows += usize::from(hi - lo >= SAD_LANES);
                     }
                 }
             }
         }
         assert!(
-            lane_searches > 10_000,
-            "only {lane_searches} searches took the lane walk"
+            wide_windows > 500,
+            "only {wide_windows} windows chained walks"
         );
     }
 

@@ -180,6 +180,104 @@ pub fn add_assign_rows(level: SimdLevel, acc: &mut [f32], row: &[f32]) {
 }
 
 // ---------------------------------------------------------------------------
+// f32 SAD walks for the block matcher
+// ---------------------------------------------------------------------------
+
+/// Candidates one SAD walk sums together, one accumulator lane each.
+pub(crate) const SAD_LANES: usize = 8;
+
+/// Sums `walks.len()` blocks of `side × side` absolute differences, each for
+/// [`SAD_LANES`] horizontally adjacent right-image positions at once.
+///
+/// `left` and `right` are planes of row stride `stride`.  Walk `i` is
+/// `walks[i] = (l, r)`: the offsets of its block's top-left tap in `left`
+/// and of lane 0's in `right`.  Lane `k` of `out[i]` receives, starting from
+/// 0.0, `|left[l + row·stride + col] − right[r + row·stride + col + k]|` for
+/// every `row` and then every `col` in `0..side`: the tap order of
+/// `asv_image::cost::block_sad`, so every tier gives the same bits.  The
+/// scalar and SSE4.2 tiers walk one block at a time; the AVX2 tier walks four
+/// at once in independent registers, so their adds overlap.
+///
+/// # Panics
+///
+/// Panics when `side` is 0, `out` and `walks` differ in length, or a walk
+/// would read past the end of its plane.
+pub(crate) fn sad_walks(
+    level: SimdLevel,
+    left: &[f32],
+    right: &[f32],
+    stride: usize,
+    side: usize,
+    walks: &[(usize, usize)],
+    out: &mut [[f32; SAD_LANES]],
+) {
+    assert!(side > 0, "empty block");
+    assert_eq!(walks.len(), out.len());
+    // The bounds the AVX2 tier's unchecked loads rely on, in checked
+    // arithmetic so no offset can wrap past them.
+    let span = (side - 1)
+        .checked_mul(stride)
+        .and_then(|rows| rows.checked_add(side));
+    let lane_span = span.and_then(|span| span.checked_add(SAD_LANES - 1));
+    let (Some(span), Some(lane_span)) = (span, lane_span) else {
+        panic!("block span overflows usize");
+    };
+    let ends_within = |start: usize, len: usize, plane: &[f32]| {
+        start.checked_add(len).is_some_and(|end| end <= plane.len())
+    };
+    for &(l, r) in walks {
+        assert!(
+            ends_within(l, span, left) && ends_within(r, lane_span, right),
+            "walk ({l}, {r}) overruns its plane"
+        );
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            for (group, costs) in walks.chunks(4).zip(out.chunks_mut(4)) {
+                // A short last group repeats its last walk; the copies'
+                // costs are dropped.
+                let mut four = [group[group.len() - 1]; 4];
+                four[..group.len()].copy_from_slice(group);
+                // SAFETY: `Avx2` is only passed by callers that verified CPU
+                // support, and every walk was bounds-checked above.
+                let sums = unsafe { sad_walks4_avx2(left, right, stride, side, &four) };
+                costs.copy_from_slice(&sums[..costs.len()]);
+            }
+        }
+        _ => {
+            for (&(l, r), costs) in walks.iter().zip(out) {
+                *costs = sad_walk_scalar(left, right, stride, side, l, r);
+            }
+        }
+    }
+}
+
+/// One walk of [`sad_walks`].  For one tap the right-image pixels of all
+/// lanes are contiguous, so the lane loop vectorizes (two SSE registers at
+/// the default target).
+fn sad_walk_scalar(
+    left: &[f32],
+    right: &[f32],
+    stride: usize,
+    side: usize,
+    l: usize,
+    r: usize,
+) -> [f32; SAD_LANES] {
+    let mut acc = [0.0f32; SAD_LANES];
+    for row in 0..side {
+        let lrow = &left[l + row * stride..][..side];
+        let rrow = &right[r + row * stride..][..side + SAD_LANES - 1];
+        for (&a, taps) in lrow.iter().zip(rrow.windows(SAD_LANES)) {
+            for (lane, &b) in acc.iter_mut().zip(taps) {
+                *lane += (a - b).abs();
+            }
+        }
+    }
+    acc
+}
+
+// ---------------------------------------------------------------------------
 // Census transform kernels
 // ---------------------------------------------------------------------------
 
@@ -463,6 +561,50 @@ mod x86 {
         for (a, &v) in acc.iter_mut().zip(row).skip(i) {
             *a += v;
         }
+    }
+
+    /// Four walks of [`super::sad_walks`], one ymm accumulator each: per tap
+    /// a broadcast left pixel minus eight right pixels, absolute value by
+    /// clearing the sign bit, added to the lane as `acc + |a − b|`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `avx2`, that `side > 0`, and that
+    /// for every walk `(l, r)`, `l + (side - 1) * stride + side <=
+    /// left.len()` and `r + (side - 1) * stride + side + 7 <= right.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sad_walks4_avx2(
+        left: &[f32],
+        right: &[f32],
+        stride: usize,
+        side: usize,
+        walks: &[(usize, usize); 4],
+    ) -> [[f32; 8]; 4] {
+        let (lp, rp) = (left.as_ptr(), right.as_ptr());
+        let sign = _mm256_set1_ps(-0.0);
+        let mut acc = [_mm256_setzero_ps(); 4];
+        // SAFETY: tap `(row, col)` reads left[l + row * stride + col] and
+        // right[r + row * stride + col .. + 8] with row, col < side; the
+        // largest indices are the caller-guaranteed bounds minus one.
+        unsafe {
+            for row in 0..side {
+                let base = row * stride;
+                for tap in base..base + side {
+                    for (sum, &(l, r)) in acc.iter_mut().zip(walks) {
+                        let a = _mm256_set1_ps(*lp.add(l + tap));
+                        let b = _mm256_loadu_ps(rp.add(r + tap));
+                        let diff = _mm256_andnot_ps(sign, _mm256_sub_ps(a, b));
+                        *sum = _mm256_add_ps(*sum, diff);
+                    }
+                }
+            }
+        }
+        let mut out = [[0.0f32; 8]; 4];
+        for (lanes, sum) in out.iter_mut().zip(acc) {
+            // SAFETY: `lanes` is eight writable f32s.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), sum) };
+        }
+        out
     }
 
     /// # Safety
@@ -782,7 +924,7 @@ mod x86 {
 use x86::{
     abs_diff_row_avx2, add_assign_rows_avx2, census_aggregate_span_avx2, census_row_u32_avx2,
     census_row_u64_avx2, hamming_row_u32_avx2, hamming_row_u32_popcnt, hamming_row_u64_avx2,
-    hamming_row_u64_popcnt, hwindow_sums_avx2,
+    hamming_row_u64_popcnt, hwindow_sums_avx2, sad_walks4_avx2,
 };
 
 /// Scalar abs-diff over a sub-range of `out` (border handling shared by the
