@@ -32,7 +32,7 @@ use crate::workspace::Workspace;
 use asv_dnn::{SurrogateParams, SurrogateStereoDnn};
 use asv_flow::farneback::{farneback_flow_with, FarnebackParams, FlowWorkspace};
 use asv_flow::FlowField;
-use asv_image::{Bilinear, BilinearAxis, Image};
+use asv_image::{round_index, Bilinear, BilinearAxis, Image};
 use asv_scene::StereoSequence;
 use asv_stereo::block_matching::{refine_with_initial_into, BlockMatchParams};
 use asv_stereo::DisparityMap;
@@ -600,7 +600,6 @@ pub fn propagate_correspondences_into(
     }
     // Every slot is assigned by the fill.
     targets.resize(width * height, (NO_TARGET, 0.0));
-    let (w, h) = (width as f32, height as f32);
     let (sources, left_u, left_v) = (
         prev_disparity.as_image().as_slice(),
         flow_left.u().as_slice(),
@@ -636,16 +635,17 @@ pub fn propagate_correspondences_into(
             let ur = Bilinear::from_axes(width, sample_column, sample_row).sample(right_u);
             let new_rx = rx + ur;
             let new_d = new_lx - new_rx;
-            let (ix, iy) = (new_lx.round(), new_ly.round());
             // Written as containment so NaN coordinates and non-finite
-            // disparities fail it.
-            if !((0.0..w).contains(&ix)
-                && (0.0..h).contains(&iy)
-                && (0.0..f32::INFINITY).contains(&new_d))
-            {
+            // disparities fail it; `round_index` rounds like `f32::round`
+            // without its libm call.
+            let (Some(ix), Some(iy)) = (round_index(new_lx, width), round_index(new_ly, height))
+            else {
+                continue;
+            };
+            if !(0.0..f32::INFINITY).contains(&new_d) {
                 continue;
             }
-            *slot = ((iy as usize * width + ix as usize) as u32, new_d);
+            *slot = ((iy * width + ix) as u32, new_d);
         }
     };
     #[cfg(feature = "parallel")]

@@ -338,6 +338,32 @@ impl Default for Image {
     }
 }
 
+/// `v.round() as usize`, bit for bit, without the `roundf` call that
+/// `f32::round` compiles to on the baseline x86-64 target (no SSE4.1).
+///
+/// The truncating cast saturates (negative and NaN to 0, `+Inf` and values
+/// past `usize::MAX` to `usize::MAX`), and below 2^23 `v - trunc(v)` is
+/// exact, so adding one when that fraction reaches 0.5 rounds half away
+/// from zero; from 2^23 on every `f32` is an integer and the fraction is 0.
+#[inline]
+pub fn round_to_usize(v: f32) -> usize {
+    let i = v as usize;
+    if v - i as f32 >= 0.5 {
+        i.saturating_add(1)
+    } else {
+        i
+    }
+}
+
+/// The index `v` rounds to on an axis of `len` samples: `Some(v.round() as
+/// usize)` when `v.round()` lies in `[0, len)`, `None` otherwise (NaN
+/// included).  The containment is tested on the unrounded value, `-0.5 < v
+/// < len - 0.5`, which is the same test for every `len` up to 2^23.
+#[inline]
+pub fn round_index(v: f32, len: usize) -> Option<usize> {
+    (-0.5 < v && v < len as f32 - 0.5).then(|| round_to_usize(v))
+}
+
 /// One axis of a [`Bilinear`] footprint: the two neighbouring indices of a
 /// coordinate clamped to the axis, and its fraction between them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -615,5 +641,47 @@ mod tests {
         assert!(ImageError::invalid_parameter("window")
             .to_string()
             .contains("window"));
+    }
+
+    #[test]
+    fn rounding_helpers_match_f32_round() {
+        let below = |v: f32| f32::from_bits(v.to_bits() - 1);
+        let above = |v: f32| f32::from_bits(v.to_bits() + 1);
+        for len in [0usize, 1, 2, 7, 640, 1 << 22, 1 << 23] {
+            let edge = len as f32 - 0.5;
+            let mut values = vec![
+                0.0,
+                -0.0,
+                0.5,
+                -0.5,
+                0.49999997,
+                -0.49999997,
+                1.5,
+                2.5,
+                edge,
+                below(edge),
+                above(edge),
+                len as f32,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                1e30,
+                -1e30,
+            ];
+            // 2^23 to 2^24: every f32 there is an integer.
+            let mut v = 8_388_608.0f32;
+            while v <= 16_777_216.0 {
+                values.extend([below(v), v, above(v)]);
+                v *= 1.25;
+            }
+            for v in values {
+                assert_eq!(round_to_usize(v), v.round() as usize, "{v:e}");
+                let reference = (0.0..len as f32)
+                    .contains(&v.round())
+                    .then(|| v.round() as usize);
+                assert_eq!(round_index(v, len), reference, "{v:e} on {len}");
+            }
+        }
+        assert_eq!(round_to_usize(f32::INFINITY), usize::MAX);
     }
 }

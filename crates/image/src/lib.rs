@@ -33,7 +33,7 @@ pub mod image;
 pub mod pyramid;
 pub mod warp;
 
-pub use crate::image::{Bilinear, BilinearAxis, Image, ImageError};
+pub use crate::image::{round_index, round_to_usize, Bilinear, BilinearAxis, Image, ImageError};
 pub use gaussian::{gaussian_blur, gaussian_kernel};
 
 /// Convenience result alias used across the crate.

@@ -21,7 +21,7 @@ use crate::disparity::{DisparityMap, StereoError};
 use crate::simd::{self, SimdLevel, SAD_LANES};
 use crate::Result;
 use asv_image::cost::{sad_ops_per_block, BlockSpec};
-use asv_image::Image;
+use asv_image::{round_to_usize, Image};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the local block matcher.
@@ -349,9 +349,9 @@ fn refine_window(
     let Some(init) = initial.get(x, y) else {
         return full_window(params, x);
     };
-    // `as usize` saturates, so a huge or infinite initial disparity must
+    // The rounding saturates, so a huge or infinite initial disparity must
     // not overflow the window's upper end.
-    let centre = init.round().max(0.0) as usize;
+    let centre = round_to_usize(init);
     let lo = centre.saturating_sub(params.refine_radius);
     let hi = centre
         .saturating_add(params.refine_radius)

@@ -198,6 +198,18 @@ impl CensusDescriptors {
     }
 }
 
+/// The view whose pixels index a [`CensusCostVolume`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reference {
+    /// `cost(x, y, d)` compares left pixel `x` with right pixel `x - d`,
+    /// clamped to the first column: the volume of the left view's map.
+    Left,
+    /// `cost(x, y, d)` compares right pixel `x` with left pixel `x + d`,
+    /// clamped to the last column: the volume of the right view's map,
+    /// which the left-right check reads.
+    Right,
+}
+
 /// A dense Hamming-distance cost volume over census descriptors, one byte
 /// per `(x, y, d)` cell in the same `[y][x][d]` layout as
 /// [`crate::cost_volume::CostVolume`].
@@ -285,15 +297,22 @@ impl CensusCostVolume {
     }
 
     /// The `levels`-long cost span of pixel `(x, y)`.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn span(&self, x: usize, y: usize) -> &[u8] {
         let levels = self.num_disparities();
         &self.costs[(y * self.width + x) * levels..][..levels]
     }
 
-    /// Fills the volume from a descriptor pair, reusing storage when sizes
-    /// match. Out-of-range hypotheses (`d > x`) clamp to the first column,
-    /// mirroring the SAD volume's border convention.
+    /// Row `y`'s cost spans, one per pixel.
+    #[inline]
+    pub(crate) fn row(&self, y: usize) -> &[u8] {
+        let stride = self.width * self.num_disparities();
+        &self.costs[y * stride..][..stride]
+    }
+
+    /// Fills the volume of the `reference` view from a descriptor pair,
+    /// reusing storage when sizes match.  Hypotheses that leave the image
+    /// clamp to its border column, mirroring the SAD volume's convention.
     ///
     /// # Panics
     ///
@@ -303,6 +322,7 @@ impl CensusCostVolume {
         left: &CensusDescriptors,
         right: &CensusDescriptors,
         max_disparity: usize,
+        reference: Reference,
         level: SimdLevel,
     ) {
         assert_eq!(left.width(), right.width(), "descriptor width mismatch");
@@ -326,9 +346,11 @@ impl CensusCostVolume {
         let use32 = left.window().uses_u32();
         let fill_row = |y: usize, out: &mut [u8]| {
             if use32 {
-                simd::hamming_row_u32(level, left.row_u32(y), right.row_u32(y), levels, out);
+                let (l, r) = (left.row_u32(y), right.row_u32(y));
+                simd::hamming_row_u32(level, reference, l, r, levels, out);
             } else {
-                simd::hamming_row_u64(level, left.row_u64(y), right.row_u64(y), levels, out);
+                let (l, r) = (left.row_u64(y), right.row_u64(y));
+                simd::hamming_row_u64(level, reference, l, r, levels, out);
             }
         };
         #[cfg(feature = "parallel")]
@@ -398,7 +420,7 @@ mod tests {
         dl.fill_from(&img, CensusWindow::W5x5, SimdLevel::Scalar);
         dr.fill_from(&img, CensusWindow::W5x5, SimdLevel::Scalar);
         let mut vol = CensusCostVolume::new();
-        vol.fill_from_descriptors(&dl, &dr, 4, SimdLevel::Scalar);
+        vol.fill_from_descriptors(&dl, &dr, 4, Reference::Left, SimdLevel::Scalar);
         for y in 0..8 {
             for x in 0..16 {
                 assert_eq!(vol.cost(x, y, 0), 0, "pixel ({x},{y})");
@@ -418,7 +440,7 @@ mod tests {
         dl.fill_from(&left, CensusWindow::W7x7, SimdLevel::Scalar);
         dr.fill_from(&right, CensusWindow::W7x7, SimdLevel::Scalar);
         let mut vol = CensusCostVolume::new();
-        vol.fill_from_descriptors(&dl, &dr, 8, SimdLevel::Scalar);
+        vol.fill_from_descriptors(&dl, &dr, 8, Reference::Left, SimdLevel::Scalar);
         // Interior pixels away from borders and the clamp zone.
         for y in 4..8 {
             for x in 12..28 {

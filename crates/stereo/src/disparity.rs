@@ -269,31 +269,38 @@ impl DisparityMap {
 
     /// Fills invalid pixels from the nearest valid pixel to the left, then to
     /// the right (the classic background-fill used after left-right checks).
+    ///
+    /// One walk per row over the raw values (rows in parallel with the
+    /// `parallel` feature): a row's leading invalid run takes its first
+    /// valid value, every later invalid pixel the last valid value before
+    /// it, and a row without a valid pixel stays as it is.
     pub fn fill_invalid_horizontally(&mut self) {
-        for y in 0..self.height() {
-            let mut last_valid: Option<f32> = None;
-            for x in 0..self.width() {
-                match self.get(x, y) {
-                    Some(v) => last_valid = Some(v),
-                    None => {
-                        if let Some(v) = last_valid {
-                            self.set(x, y, v);
-                        }
-                    }
-                }
-            }
-            let mut last_valid: Option<f32> = None;
-            for x in (0..self.width()).rev() {
-                match self.get(x, y) {
-                    Some(v) => last_valid = Some(v),
-                    None => {
-                        if let Some(v) = last_valid {
-                            self.set(x, y, v);
-                        }
-                    }
-                }
-            }
+        let width = self.width();
+        if width == 0 {
+            return;
         }
+        let fill_row = |row: &mut [f32]| {
+            let mut last_valid = None;
+            for x in 0..row.len() {
+                let v = row[x];
+                if v >= 0.0 {
+                    if last_valid.is_none() {
+                        row[..x].fill(v);
+                    }
+                    last_valid = Some(v);
+                } else if let Some(fill) = last_valid {
+                    row[x] = fill;
+                }
+            }
+        };
+        let values = self.values.as_mut_slice();
+        #[cfg(feature = "parallel")]
+        {
+            use rayon::prelude::*;
+            values.par_chunks_mut(width).for_each(fill_row);
+        }
+        #[cfg(not(feature = "parallel"))]
+        values.chunks_mut(width).for_each(fill_row);
     }
 }
 
@@ -397,6 +404,75 @@ mod tests {
         let b = DisparityMap::invalid(4, 4);
         assert_eq!(a.three_pixel_error(&b).unwrap(), 0.0);
         assert_eq!(a.mean_abs_error(&b).unwrap(), 0.0);
+    }
+
+    /// Reference fill: per row, one walk from the left and one from the
+    /// right, through `get` and `set`.
+    fn fill_invalid_horizontally_reference(map: &mut DisparityMap) {
+        for y in 0..map.height() {
+            let mut last_valid: Option<f32> = None;
+            for x in 0..map.width() {
+                match map.get(x, y) {
+                    Some(v) => last_valid = Some(v),
+                    None => {
+                        if let Some(v) = last_valid {
+                            map.set(x, y, v);
+                        }
+                    }
+                }
+            }
+            let mut last_valid: Option<f32> = None;
+            for x in (0..map.width()).rev() {
+                match map.get(x, y) {
+                    Some(v) => last_valid = Some(v),
+                    None => {
+                        if let Some(v) = last_valid {
+                            map.set(x, y, v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn horizontal_fill_matches_the_two_walk_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (width, height) in [(1, 1), (1, 9), (2, 3), (7, 5), (33, 8), (64, 3)] {
+            for density in [0, 1, 3, 8] {
+                let mut map = DisparityMap::from_fn(width, height, |_, y| {
+                    // Every third row is all invalid; otherwise one value in
+                    // `density + 1` is valid.
+                    let r = next();
+                    if y % 3 == 2 || r % (density + 1) != 0 {
+                        [INVALID_DISPARITY, f32::NAN, -7.5][(r >> 8) as usize % 3]
+                    } else {
+                        ((r >> 16) % 640) as f32 * 0.25
+                    }
+                });
+                let mut expected = map.clone();
+                fill_invalid_horizontally_reference(&mut expected);
+                map.fill_invalid_horizontally();
+                let bits = |m: &DisparityMap| -> Vec<u32> {
+                    m.as_image()
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&map),
+                    bits(&expected),
+                    "{width}x{height} density {density}"
+                );
+            }
+        }
     }
 
     #[test]

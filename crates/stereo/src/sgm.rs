@@ -7,14 +7,14 @@
 //! is also the highest-accuracy classic matcher in this reproduction, which is
 //! why the DNN surrogate in `asv-dnn` builds on it.
 
-use crate::census::{CensusCostVolume, CensusDescriptors, CensusWindow};
+use crate::census::{CensusCostVolume, CensusDescriptors, CensusWindow, Reference};
 use crate::cost_volume::CostVolume;
-use crate::disparity::{DisparityMap, StereoError};
-use crate::simd::{self, SimdLevel};
+use crate::disparity::{DisparityMap, StereoError, INVALID_DISPARITY};
+use crate::simd::{self, SimdLevel, SweepMins, SweepStep};
 use crate::Result;
 use asv_image::cost::BlockSpec;
-use asv_image::Image;
-use asv_mem::{BufferPool, U16Pool};
+use asv_image::{round_index, Image};
+use asv_mem::BufferPool;
 use asv_trace::{KernelTimings, Stage};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -92,9 +92,10 @@ impl Default for SgmParams {
 const DIRECTIONS: [(isize, isize); 4] = [(-1, 0), (1, 0), (0, -1), (0, 1)];
 
 /// Reusable scratch for [`semi_global_match_with`]: the cost volumes, the
-/// aggregation buffers (checked out of size-keyed pools), the census sweeps'
-/// row scratch and the mirrored images / right-reference map of the
-/// left-right check.
+/// aggregation buffers (checked out of a size-keyed pool), the census
+/// descriptors and one census pass's buffers per reference view, and the
+/// right view's map of the left-right check (with the SAD path's mirrored
+/// images).
 ///
 /// A fresh workspace performs no allocation; the first match sizes every
 /// buffer and subsequent matches on same-sized pairs reuse them.  One
@@ -106,16 +107,15 @@ pub struct SgmWorkspace {
     pool: BufferPool,
     census_l: CensusDescriptors,
     census_r: CensusDescriptors,
-    cvolume: CensusCostVolume,
-    ipool: U16Pool,
-    /// Row scratch of the census path's forward and backward sweeps.
-    sweeps: [SweepRows; 2],
+    /// The census passes of the left and the right reference view.
+    passes: [CensusPass; 2],
     mirror_l: Image,
     mirror_r: Image,
     map_r: DisparityMap,
     /// Cost-fill / aggregation timings of the most recent
-    /// [`semi_global_match_with`] call (two entries per pass; a left-right
-    /// check doubles the passes), for harvesting into a frame tracer.
+    /// [`semi_global_match_with`] call, for harvesting into a frame tracer:
+    /// one entry each for census (both views' passes together), two per
+    /// pass for SAD (a left-right check doubles the passes).
     timings: KernelTimings,
 }
 
@@ -127,9 +127,7 @@ impl SgmWorkspace {
             pool: BufferPool::new(),
             census_l: CensusDescriptors::new(),
             census_r: CensusDescriptors::new(),
-            cvolume: CensusCostVolume::new(),
-            ipool: U16Pool::new(),
-            sweeps: Default::default(),
+            passes: Default::default(),
             mirror_l: Image::default(),
             mirror_r: Image::default(),
             map_r: DisparityMap::invalid(0, 0),
@@ -143,20 +141,19 @@ impl SgmWorkspace {
     }
 
     /// Bytes currently retained by the workspace (cost volumes, census
-    /// descriptors, pooled aggregation buffers, sweep rows, and the mirrored
-    /// pair and right-reference map of the left-right check), e.g. for
-    /// capacity planning of many concurrent sessions.
+    /// descriptors, pooled aggregation buffers, the census passes' sums and
+    /// row scratch, and the right-view map and mirrored pair of the
+    /// left-right check), e.g. for capacity planning of many concurrent
+    /// sessions.
     pub fn retained_bytes(&self) -> usize {
         self.volume.num_cells() * std::mem::size_of::<f32>()
             + self.pool.retained_bytes()
             + self.census_l.retained_bytes()
             + self.census_r.retained_bytes()
-            + self.cvolume.retained_bytes()
-            + self.ipool.retained_bytes()
             + self
-                .sweeps
+                .passes
                 .iter()
-                .map(SweepRows::retained_bytes)
+                .map(CensusPass::retained_bytes)
                 .sum::<usize>()
             + self.mirror_l.retained_bytes()
             + self.mirror_r.retained_bytes()
@@ -169,9 +166,7 @@ impl SgmWorkspace {
         self.pool.trim();
         self.census_l.trim();
         self.census_r.trim();
-        self.cvolume.trim();
-        self.ipool.trim();
-        self.sweeps = Default::default();
+        self.passes = Default::default();
         self.mirror_l = Image::default();
         self.mirror_r = Image::default();
         self.map_r = DisparityMap::invalid(0, 0);
@@ -286,180 +281,250 @@ fn aggregate_all_pooled(volume: &CostVolume, p1: f32, p2: f32, pool: &mut Buffer
     total
 }
 
-/// Row scratch of one census sweep: the horizontal path's predecessor and
-/// current spans, and the vertical path's previous and current rows (one
-/// span per column).  Nothing volume-sized: the paths' own costs never
-/// outlive the next pixel or the next row.
+/// The buffers of one census pass (one reference view).  They are the
+/// pass's own allocations, disjoint from the other view's, so the two
+/// passes run concurrently without writing a shared cache line.
 #[derive(Debug, Default)]
-struct SweepRows {
-    h_prev: Vec<u16>,
-    h_cur: Vec<u16>,
-    v_prev: Vec<u16>,
-    v_cur: Vec<u16>,
+struct CensusPass {
+    costs: CensusCostVolume,
+    /// The forward sweep's path sums, one span per pixel.
+    sums: Vec<u16>,
+    /// The sweeps' row scratch, laid out by [`census_pass`].
+    rows: Vec<u16>,
 }
 
-impl SweepRows {
-    /// Sizes the buffers for `width` pixels of `levels` hypotheses (no
-    /// allocation when the size is unchanged).
-    fn reshape(&mut self, width: usize, levels: usize) {
-        for (buf, len) in [
-            (&mut self.h_prev, levels),
-            (&mut self.h_cur, levels),
-            (&mut self.v_prev, width * levels),
-            (&mut self.v_cur, width * levels),
-        ] {
-            if buf.len() != len {
-                buf.clear();
-                buf.resize(len, 0);
-            }
-        }
-    }
-
+impl CensusPass {
     fn retained_bytes(&self) -> usize {
-        [&self.h_prev, &self.h_cur, &self.v_prev, &self.v_cur]
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<u16>())
-            .sum()
+        self.costs.retained_bytes()
+            + (self.sums.capacity() + self.rows.capacity()) * std::mem::size_of::<u16>()
     }
 }
 
-/// One raster sweep of the integer SGM over a census (Hamming) cost volume:
-/// the horizontal and the vertical path that both arrive from the same
-/// corner (left→right and top→bottom when `forward`, right→left and
-/// bottom→top otherwise), summed with saturation into `out`, one span per
-/// pixel in the volume's layout (every cell is overwritten).  A path's first
-/// pixel takes its raw costs; every later one runs the recurrence of
-/// [`simd::census_aggregate_span`] at the given SIMD tier.
-fn census_sweep(
-    volume: &CensusCostVolume,
-    forward: bool,
+/// Cells of padding at both ends of a pass's row scratch: 64 bytes, so the
+/// cells a sweep writes at every pixel share no cache line with another
+/// allocation, such as the concurrent pass's scratch.
+const ROW_PAD: usize = 32;
+
+/// One census pass over `pass.costs`, writing the winners into `out`.
+///
+/// The forward sweep runs the left→right and top→bottom paths and stores
+/// their saturating sum per cell.  The backward sweep runs the right→left
+/// and bottom→top paths, adds the stored sums and picks each pixel's winner:
+/// the first disparity holding the minimum total (the winner of a
+/// strict-`<` scan), with the sub-pixel parabola evaluated on exact `f32`
+/// conversions of the integer totals.  `u16` saturating addition is
+/// `min(sum, u16::MAX)` on non-negative terms, so this total equals every
+/// grouping of the four paths'.
+///
+/// Paths keep only row scratch, in the guarded layout of
+/// [`simd::census_sweep_step`]: two spans for the horizontal path, and two
+/// rows of per-column spans for the vertical one (neighbouring columns share
+/// a guard), with each column's span minimum.
+fn census_pass(
+    pass: &mut CensusPass,
     p1: u16,
     p2: u16,
-    level: SimdLevel,
-    rows: &mut SweepRows,
-    out: &mut [u16],
-) {
-    let width = volume.width();
-    let height = volume.height();
-    let levels = volume.num_disparities();
-    debug_assert_eq!(out.len(), volume.num_cells());
-    rows.reshape(width, levels);
-    let SweepRows {
-        h_prev,
-        h_cur,
-        v_prev,
-        v_cur,
-    } = rows;
-    let widen = |costs: &[u8], span: &mut [u16]| {
-        for (slot, &c) in span.iter_mut().zip(costs) {
-            *slot = u16::from(c);
-        }
-    };
-    for yi in 0..height {
-        let y = if forward { yi } else { height - 1 - yi };
-        for xi in 0..width {
-            let x = if forward { xi } else { width - 1 - xi };
-            let costs = volume.span(x, y);
-            if xi == 0 {
-                widen(costs, h_cur);
-            } else {
-                simd::census_aggregate_span(level, h_prev, costs, p1, p2, h_cur);
-            }
-            let column = x * levels;
-            let v = &mut v_cur[column..column + levels];
-            if yi == 0 {
-                widen(costs, v);
-            } else {
-                let prev = &v_prev[column..column + levels];
-                simd::census_aggregate_span(level, prev, costs, p1, p2, v);
-            }
-            let base = (y * width + x) * levels;
-            for ((slot, &h), &v) in out[base..base + levels].iter_mut().zip(&*h_cur).zip(&*v) {
-                *slot = h.saturating_add(v);
-            }
-            std::mem::swap(h_prev, h_cur);
-        }
-        std::mem::swap(v_prev, v_cur);
-    }
-}
-
-/// Census counterpart of [`aggregate_all_pooled`]: the forward and the
-/// backward [`census_sweep`] (concurrent under `rayon::join` with the
-/// `parallel` feature), each into its own volume.  The four paths' total is
-/// the saturating sum of the two volumes: `u16` saturating addition is
-/// `min(sum, u16::MAX)` on non-negative terms, so any grouping of the four
-/// directions gives the same total.
-fn census_sweeps_into(
-    volume: &CensusCostVolume,
-    p1: u16,
-    p2: u16,
-    level: SimdLevel,
-    sweeps: &mut [SweepRows; 2],
-    fwd: &mut [u16],
-    bwd: &mut [u16],
-) {
-    let [rows_f, rows_b] = sweeps;
-    #[cfg(feature = "parallel")]
-    rayon::join(
-        || census_sweep(volume, true, p1, p2, level, rows_f, fwd),
-        || census_sweep(volume, false, p1, p2, level, rows_b, bwd),
-    );
-    #[cfg(not(feature = "parallel"))]
-    {
-        census_sweep(volume, true, p1, p2, level, rows_f, fwd);
-        census_sweep(volume, false, p1, p2, level, rows_b, bwd);
-    }
-}
-
-/// Winner-take-all over the saturating sum of the two sweep volumes, one
-/// output row per task (row-parallel with the `parallel` feature).  Each
-/// pixel takes the first disparity holding the minimum total, the winner of
-/// a strict-`<` scan, and the sub-pixel parabola is evaluated on exact `f32`
-/// conversions of the integer totals.
-fn census_winners_into(
-    fwd: &[u16],
-    bwd: &[u16],
-    width: usize,
-    height: usize,
-    levels: usize,
     subpixel: bool,
+    level: SimdLevel,
     out: &mut DisparityMap,
 ) {
+    let CensusPass { costs, sums, rows } = pass;
+    let (width, height) = (costs.width(), costs.height());
+    let levels = costs.num_disparities();
+    let row_cells = width * levels;
+    if sums.len() != costs.num_cells() {
+        sums.clear();
+        sums.resize(costs.num_cells(), 0);
+    }
+    let (span, stride) = (levels + 2, levels + 1);
+    let v_row = width * stride + 1;
+    let len = 2 * ROW_PAD + 2 * span + 2 * v_row + width + levels;
+    if rows.len() != len {
+        rows.clear();
+        rows.resize(len, 0);
+    }
     out.reshape_scratch(width, height);
-    let fill_row = |y: usize, dst: &mut [f32]| {
-        for (x, slot) in dst.iter_mut().enumerate() {
-            let base = (y * width + x) * levels;
-            let (f, b) = (&fwd[base..base + levels], &bwd[base..base + levels]);
-            let total = |d: usize| f[d].saturating_add(b[d]);
-            let best_cost = f
-                .iter()
-                .zip(b)
-                .map(|(&fd, &bd)| fd.saturating_add(bd))
-                .fold(u16::MAX, u16::min);
-            let best_d = (0..levels).position(|d| total(d) == best_cost).unwrap_or(0);
-            *slot = if !subpixel || best_d == 0 || best_d + 1 >= levels {
-                best_d as f32
+    let map = out.as_image_mut().as_mut_slice();
+    for forward in [true, false] {
+        let (h, rest) = rows[ROW_PAD..].split_at_mut(2 * span);
+        let (mut v_prev, rest) = rest.split_at_mut(v_row);
+        let (mut v_cur, rest) = rest.split_at_mut(v_row);
+        let (v_mins, rest) = rest.split_at_mut(width);
+        let total = &mut rest[..levels];
+        // Every path starts from an all-zero span of minimum 0; the guards
+        // are `u16::MAX`.
+        for v in [&mut *v_prev, &mut *v_cur] {
+            v.fill(0);
+            for guard in v.iter_mut().step_by(stride) {
+                *guard = u16::MAX;
+            }
+        }
+        // The horizontal spans' cells are zeroed or written before they
+        // are read, so only their guards need setting.
+        h.fill(u16::MAX);
+        v_mins.fill(0);
+        for yi in 0..height {
+            let y = if forward { yi } else { height - 1 - yi };
+            let cells = y * row_cells..(y + 1) * row_cells;
+            let sink = if forward {
+                RowSink::Sums(&mut sums[cells])
+            } else {
+                RowSink::Winners {
+                    forward: &sums[cells],
+                    total: &mut *total,
+                    subpixel,
+                    out: &mut map[y * width..][..width],
+                }
+            };
+            let row = SweepRow {
+                costs: costs.row(y),
+                levels,
+                p1,
+                p2,
+                h: &mut *h,
+                v_prev,
+                v_cur: &mut *v_cur,
+                v_mins: &mut *v_mins,
+                sink,
+            };
+            simd::census_sweep_row(level, row);
+            std::mem::swap(&mut v_prev, &mut v_cur);
+        }
+    }
+}
+
+/// One image row of a census sweep: the unit [`simd::census_sweep_row`]
+/// dispatches, so that each tier runs [`sweep_row`] with its step kernel
+/// inlined.
+pub(crate) struct SweepRow<'a> {
+    /// The row's cost spans, one per pixel.
+    costs: &'a [u8],
+    levels: usize,
+    p1: u16,
+    p2: u16,
+    /// The horizontal path's two guarded spans.
+    h: &'a mut [u16],
+    /// The previous row's vertical spans, one guarded span per column.
+    v_prev: &'a [u16],
+    /// Receives this row's vertical spans.
+    v_cur: &'a mut [u16],
+    /// Each column's `v_prev` span minimum, replaced by its `v_cur` one.
+    v_mins: &'a mut [u16],
+    sink: RowSink<'a>,
+}
+
+impl SweepRow<'_> {
+    /// Disparity levels per span.
+    pub(crate) fn levels(&self) -> usize {
+        self.levels
+    }
+}
+
+/// Where a sweep row's path sums go.
+enum RowSink<'a> {
+    /// The forward sweep stores them, one span per pixel.
+    Sums(&'a mut [u16]),
+    /// The backward sweep adds them to the `forward` sums in a one-span
+    /// `total` and writes each pixel's winner into `out`.
+    Winners {
+        forward: &'a [u16],
+        total: &'a mut [u16],
+        subpixel: bool,
+        out: &'a mut [f32],
+    },
+}
+
+/// Runs `step` over a sweep row's pixels, left to right for the forward
+/// sweep and right to left for the backward one.  Inlined into each tier's
+/// row kernel, so the step inlines too.
+#[inline(always)]
+pub(crate) fn sweep_row(row: SweepRow<'_>, mut step: impl FnMut(&mut SweepStep<'_>) -> SweepMins) {
+    let SweepRow {
+        costs,
+        levels,
+        p1,
+        p2,
+        h,
+        v_prev,
+        v_cur,
+        v_mins,
+        mut sink,
+    } = row;
+    let width = v_mins.len();
+    let forward = matches!(sink, RowSink::Sums(_));
+    let (span, stride) = (levels + 2, levels + 1);
+    // The lengths that give every step's spans exactly `levels` or `levels
+    // + 2` cells.
+    assert_eq!(costs.len(), width * levels, "cost row length");
+    assert_eq!(h.len(), 2 * span, "horizontal spans length");
+    for v in [v_prev, &*v_cur] {
+        assert_eq!(v.len(), width * stride + 1, "vertical row length");
+    }
+    match &sink {
+        RowSink::Sums(sums) => assert_eq!(sums.len(), width * levels, "sums length"),
+        RowSink::Winners {
+            forward,
+            total,
+            out,
+            ..
+        } => {
+            assert_eq!(forward.len(), width * levels, "sums length");
+            assert_eq!(
+                (total.len(), out.len()),
+                (levels, width),
+                "total and map row"
+            );
+        }
+    }
+    // Local references, swapped per pixel: nothing outside this call's
+    // stack frame is written but the spans themselves.
+    let (mut h_prev, mut h_out) = h.split_at_mut(span);
+    h_prev[1..=levels].fill(0);
+    let mut h_min = 0;
+    for xi in 0..width {
+        let x = if forward { xi } else { width - 1 - xi };
+        let (cell, column) = (x * levels, x * stride);
+        let (base, sum) = match &mut sink {
+            RowSink::Sums(sums) => (None, &mut sums[cell..][..levels]),
+            RowSink::Winners { forward, total, .. } => {
+                (Some(&forward[cell..][..levels]), &mut **total)
+            }
+        };
+        let mins = step(&mut SweepStep {
+            cost: &costs[cell..][..levels],
+            p1,
+            p2,
+            h_prev: &*h_prev,
+            h_min,
+            v_prev: &v_prev[column..][..span],
+            v_min: v_mins[x],
+            h_out: &mut *h_out,
+            v_out: &mut v_cur[column..][..span],
+            base,
+            sum,
+        });
+        h_min = mins.h;
+        v_mins[x] = mins.v;
+        std::mem::swap(&mut h_prev, &mut h_out);
+        if let RowSink::Winners {
+            total,
+            subpixel,
+            out,
+            ..
+        } = &mut sink
+        {
+            let best = mins.best;
+            out[x] = if !*subpixel || best == 0 || best + 1 >= levels {
+                best as f32
             } else {
                 parabola(
-                    best_d,
-                    f32::from(total(best_d - 1)),
-                    f32::from(best_cost),
-                    f32::from(total(best_d + 1)),
+                    best,
+                    f32::from(total[best - 1]),
+                    f32::from(total[best]),
+                    f32::from(total[best + 1]),
                 )
             };
         }
-    };
-    let dst = out.as_image_mut().as_mut_slice();
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        dst.par_chunks_mut(width)
-            .enumerate()
-            .for_each(|(y, row)| fill_row(y, row));
-    }
-    #[cfg(not(feature = "parallel"))]
-    for (y, row) in dst.chunks_mut(width).enumerate() {
-        fill_row(y, row);
     }
 }
 
@@ -560,16 +625,21 @@ fn sad_pass(
     Ok(())
 }
 
-/// One census-metric matching pass: census transform of both images, Hamming
-/// cost volume, two aggregation sweeps, winner-take-all.  All stages
-/// dispatch to the active SIMD tier.
+/// The census branch of [`semi_global_match_with`].  Both images are
+/// census-transformed once; the left view's Hamming volume and, for the
+/// left-right check, the right view's come from that one descriptor pair.
+/// Mirroring both images permutes every descriptor's bits alike, so the
+/// left-reference volume of the mirrored pair is the right view's volume
+/// mirrored; the four-path total and its first-minimum winner do not change
+/// under mirroring, so the right view's map is that pair's map mirrored, bit
+/// for bit.  The two views' passes run concurrently (with the `parallel`
+/// feature).
 #[allow(clippy::too_many_arguments)]
-fn census_pass(
+fn census_match(
     census_l: &mut CensusDescriptors,
     census_r: &mut CensusDescriptors,
-    cvolume: &mut CensusCostVolume,
-    ipool: &mut U16Pool,
-    sweeps: &mut [SweepRows; 2],
+    passes: &mut [CensusPass; 2],
+    map_r: &mut DisparityMap,
     timings: &mut KernelTimings,
     left: &Image,
     right: &Image,
@@ -592,35 +662,94 @@ fn census_pass(
         ));
     }
     let level = simd::active_level();
+    let check = params.left_right_check;
+    let [pass_l, pass_r] = passes;
     let fill_started = Instant::now();
     census_l.fill_from(left, params.census_window, level);
     census_r.fill_from(right, params.census_window, level);
-    cvolume.fill_from_descriptors(census_l, census_r, params.max_disparity, level);
+    let max_disparity = params.max_disparity;
+    pass_l
+        .costs
+        .fill_from_descriptors(census_l, census_r, max_disparity, Reference::Left, level);
+    if check {
+        pass_r.costs.fill_from_descriptors(
+            census_l,
+            census_r,
+            max_disparity,
+            Reference::Right,
+            level,
+        );
+    }
     timings.record(Stage::CostFill, fill_started, fill_started.elapsed(), 1);
     let p1 = params.p1.round().max(0.0) as u16;
     let p2 = params.p2.round().max(0.0) as u16;
+    let subpixel = params.subpixel;
     let aggregate_started = Instant::now();
-    let mut fwd = ipool.take_scratch(cvolume.num_cells());
-    let mut bwd = ipool.take_scratch(cvolume.num_cells());
-    census_sweeps_into(cvolume, p1, p2, level, sweeps, &mut fwd, &mut bwd);
+    if check {
+        #[cfg(feature = "parallel")]
+        rayon::join(
+            || census_pass(pass_l, p1, p2, subpixel, level, out),
+            || census_pass(pass_r, p1, p2, subpixel, level, map_r),
+        );
+        #[cfg(not(feature = "parallel"))]
+        {
+            census_pass(pass_l, p1, p2, subpixel, level, out);
+            census_pass(pass_r, p1, p2, subpixel, level, map_r);
+        }
+    } else {
+        census_pass(pass_l, p1, p2, subpixel, level, out);
+    }
     timings.record(
         Stage::SgmAggregate,
         aggregate_started,
         aggregate_started.elapsed(),
         1,
     );
-    census_winners_into(
-        &fwd,
-        &bwd,
-        cvolume.width(),
-        cvolume.height(),
-        cvolume.num_disparities(),
-        params.subpixel,
-        out,
-    );
-    ipool.put(fwd);
-    ipool.put(bwd);
+    if check {
+        left_right_check(out, map_r, params.lr_threshold);
+    }
     Ok(())
+}
+
+/// Invalidates each valid pixel of the left view's map `out` whose match in
+/// the right view is invalid there or disagrees by more than `threshold`,
+/// one row per task (row-parallel with the `parallel` feature).  `map_r` is
+/// the right view's map in its own coordinates.  Left pixel `x` of
+/// disparity `d` matches right pixel `x - d`: column `mx` of the mirrored
+/// right view, rounded to the nearest, and so column `width - 1 - mx`.
+fn left_right_check(out: &mut DisparityMap, map_r: &DisparityMap, threshold: f32) {
+    let width = out.width();
+    if width == 0 {
+        return;
+    }
+    let right = map_r.as_image().as_slice();
+    let check_row = |(y, row): (usize, &mut [f32])| {
+        let right = &right[y * width..][..width];
+        for (x, value) in row.iter_mut().enumerate() {
+            let d = *value;
+            // Invalid pixels (negative or NaN) stay as they are.
+            if !(0.0..).contains(&d) {
+                continue;
+            }
+            let rx = x as f32 - d;
+            let consistent = rx >= 0.0
+                && round_index(width as f32 - 1.0 - rx, width).is_some_and(|mx| {
+                    let dr = right[width - 1 - mx];
+                    dr >= 0.0 && (dr - d).abs() <= threshold
+                });
+            if !consistent {
+                *value = INVALID_DISPARITY;
+            }
+        }
+    };
+    let values = out.as_image_mut().as_mut_slice();
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        values.par_chunks_mut(width).enumerate().for_each(check_row);
+    }
+    #[cfg(not(feature = "parallel"))]
+    values.chunks_mut(width).enumerate().for_each(check_row);
 }
 
 /// Semi-global stereo matching of a rectified pair.
@@ -664,9 +793,7 @@ pub fn semi_global_match_with(
         pool,
         census_l,
         census_r,
-        cvolume,
-        ipool,
-        sweeps,
+        passes,
         mirror_l,
         mirror_r,
         map_r,
@@ -674,52 +801,26 @@ pub fn semi_global_match_with(
     } = ws;
     timings.clear();
     match params.metric {
-        CostMetric::Sad => sad_pass(volume, pool, timings, left, right, params, out)?,
-        CostMetric::Census => {
-            census_pass(
-                census_l, census_r, cvolume, ipool, sweeps, timings, left, right, params, out,
-            )?;
-        }
-    }
-
-    if params.left_right_check {
-        // Match in the other direction by mirroring both images horizontally,
-        // which converts right-reference matching into left-reference matching.
-        mirror_into(left, mirror_l);
-        mirror_into(right, mirror_r);
-        match params.metric {
-            CostMetric::Sad => sad_pass(volume, pool, timings, mirror_r, mirror_l, params, map_r)?,
-            CostMetric::Census => {
-                census_pass(
-                    census_l, census_r, cvolume, ipool, sweeps, timings, mirror_r, mirror_l,
-                    params, map_r,
-                )?;
+        CostMetric::Sad => {
+            sad_pass(volume, pool, timings, left, right, params, out)?;
+            if params.left_right_check {
+                // Match in the other direction by mirroring both images
+                // horizontally, which converts right-reference matching into
+                // left-reference matching; reversing the map's rows puts it
+                // back in the right view's coordinates.
+                mirror_into(left, mirror_l);
+                mirror_into(right, mirror_r);
+                sad_pass(volume, pool, timings, mirror_r, mirror_l, params, map_r)?;
+                let width = map_r.width();
+                for row in map_r.as_image_mut().as_mut_slice().chunks_exact_mut(width) {
+                    row.reverse();
+                }
+                left_right_check(out, map_r, params.lr_threshold);
             }
         }
-        let map_r = &*map_r;
-        let width = out.width();
-        for y in 0..out.height() {
-            for x in 0..width {
-                let Some(d) = out.get(x, y) else { continue };
-                // Pixel (x, y) in the left image corresponds to (x - d, y) in
-                // the right image, which is (width - 1 - (x - d), y) in the
-                // mirrored right image.
-                let rx = x as f32 - d;
-                if rx < 0.0 {
-                    out.invalidate(x, y);
-                    continue;
-                }
-                let mx = (width as f32 - 1.0 - rx).round() as usize;
-                if mx >= width {
-                    out.invalidate(x, y);
-                    continue;
-                }
-                match map_r.get(mx, y) {
-                    Some(dr) if (dr - d).abs() <= params.lr_threshold => {}
-                    _ => out.invalidate(x, y),
-                }
-            }
-        }
+        CostMetric::Census => census_match(
+            census_l, census_r, passes, map_r, timings, left, right, params, out,
+        )?,
     }
     Ok(())
 }
@@ -1004,20 +1105,15 @@ mod tests {
     use proptest::prelude::*;
 
     /// Reference census aggregation: one full volume per direction of
-    /// [`DIRECTIONS`], its recurrence reading each predecessor back from
-    /// that volume, summed in direction order with saturating adds.
-    fn reference_census_total(
-        volume: &CensusCostVolume,
-        p1: u16,
-        p2: u16,
-        level: SimdLevel,
-    ) -> Vec<u16> {
+    /// [`DIRECTIONS`], the recurrence written out from its definition and
+    /// reading each predecessor back from that volume.
+    fn reference_census_paths(volume: &CensusCostVolume, p1: u16, p2: u16) -> Vec<Vec<u16>> {
         let width = volume.width();
         let height = volume.height();
         let levels = volume.num_disparities();
-        let mut total = vec![0u16; volume.num_cells()];
-        let mut agg = vec![0u16; volume.num_cells()];
+        let mut paths = Vec::new();
         for dir in DIRECTIONS {
+            let mut agg = vec![0u16; volume.num_cells()];
             for yi in 0..height {
                 let y = if dir.1 > 0 { yi } else { height - 1 - yi };
                 for xi in 0..width {
@@ -1033,18 +1129,31 @@ mod tests {
                         continue;
                     }
                     let pbase = (py as usize * width + px as usize) * levels;
-                    let (prev, out): (&[u16], &mut [u16]) = if pbase < base {
-                        let (lo, hi) = agg.split_at_mut(base);
-                        (&lo[pbase..pbase + levels], &mut hi[..levels])
-                    } else {
-                        let (lo, hi) = agg.split_at_mut(pbase);
-                        (&hi[..levels], &mut lo[base..base + levels])
-                    };
-                    simd::census_aggregate_span(level, prev, costs, p1, p2, out);
+                    let prev = agg[pbase..pbase + levels].to_vec();
+                    let prev_min = *prev.iter().min().unwrap();
+                    for d in 0..levels {
+                        let mut best = prev[d].min(prev_min.saturating_add(p2));
+                        if d > 0 {
+                            best = best.min(prev[d - 1].saturating_add(p1));
+                        }
+                        if d + 1 < levels {
+                            best = best.min(prev[d + 1].saturating_add(p1));
+                        }
+                        agg[base + d] = (best - prev_min).saturating_add(costs[d] as u16);
+                    }
                 }
             }
-            for (t, a) in total.iter_mut().zip(&agg) {
-                *t = t.saturating_add(*a);
+            paths.push(agg);
+        }
+        paths
+    }
+
+    /// Cell-wise saturating sum of the given direction volumes.
+    fn saturating_total(paths: &[&Vec<u16>]) -> Vec<u16> {
+        let mut total = vec![0u16; paths[0].len()];
+        for path in paths {
+            for (t, &a) in total.iter_mut().zip(path.iter()) {
+                *t = t.saturating_add(a);
             }
         }
         total
@@ -1084,18 +1193,63 @@ mod tests {
         })
     }
 
+    fn bits(map: &DisparityMap) -> Vec<u32> {
+        map.as_image()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Reference left-right check: a left-reference match of the mirrored
+    /// pair stands in for the right view's map, read at the rounded
+    /// mirrored column.
+    fn mirrored_reference(left: &Image, right: &Image, params: &SgmParams) -> DisparityMap {
+        let single = SgmParams {
+            left_right_check: false,
+            ..*params
+        };
+        let mut out = semi_global_match(left, right, &single).unwrap();
+        let (mut mirror_l, mut mirror_r) = (Image::default(), Image::default());
+        mirror_into(left, &mut mirror_l);
+        mirror_into(right, &mut mirror_r);
+        let map_r = semi_global_match(&mirror_r, &mirror_l, &single).unwrap();
+        let width = out.width();
+        for y in 0..out.height() {
+            for x in 0..width {
+                let Some(d) = out.get(x, y) else { continue };
+                let rx = x as f32 - d;
+                if rx < 0.0 {
+                    out.invalidate(x, y);
+                    continue;
+                }
+                let mx = (width as f32 - 1.0 - rx).round() as usize;
+                if mx >= width {
+                    out.invalidate(x, y);
+                    continue;
+                }
+                match map_r.get(mx, y) {
+                    Some(dr) if (dr - d).abs() <= params.lr_threshold => {}
+                    _ => out.invalidate(x, y),
+                }
+            }
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The two sweeps and the winner pass reproduce the four-direction
-        /// reference at every SIMD tier: the summed sweep volumes equal the
-        /// reference totals cell for cell, and the winner maps match bit for
+        /// A census pass reproduces the four-direction reference at every
+        /// SIMD tier: its stored forward sums equal the left→right plus
+        /// top→bottom paths cell for cell, and the backward sweep's fused
+        /// winners match the reference winners of all four paths bit for
         /// bit.  Penalties run from small to saturating.
         #[test]
         fn sweeps_match_the_four_direction_reference(
             width in 1usize..24,
             height in 1usize..16,
-            levels in 1usize..71,
+            levels in 1usize..81,
             seed in 0u64..u64::MAX,
             p1 in 0u32..65_536,
             p2 in 0u32..65_536,
@@ -1107,29 +1261,59 @@ mod tests {
                 _ => (p1, p2),
             };
             let (p1, p2) = (p1 as u16, p2 as u16);
-            let costs = (0..width * height * levels)
+            let costs: Vec<u8> = (0..width * height * levels)
                 .map(|i| (texture(seed, i, 0) * 256.0) as u8)
                 .collect();
-            let volume = CensusCostVolume::from_costs(width, height, levels - 1, costs);
-            let total = reference_census_total(&volume, p1, p2, SimdLevel::Scalar);
-            let mut sweeps: [SweepRows; 2] = Default::default();
-            let mut fwd = vec![0u16; volume.num_cells()];
-            let mut bwd = vec![0u16; volume.num_cells()];
+            let volume = CensusCostVolume::from_costs(width, height, levels - 1, costs.clone());
+            let paths = reference_census_paths(&volume, p1, p2);
+            // DIRECTIONS[1] runs left→right and DIRECTIONS[3] top→bottom.
+            let forward = saturating_total(&[&paths[1], &paths[3]]);
+            let total = saturating_total(&paths.iter().collect::<Vec<_>>());
             let mut map = DisparityMap::invalid(0, 0);
             for &level in simd::available_levels() {
-                census_sweeps_into(&volume, p1, p2, level, &mut sweeps, &mut fwd, &mut bwd);
-                for (i, ((&f, &b), &t)) in fwd.iter().zip(&bwd).zip(&total).enumerate() {
-                    prop_assert_eq!(f.saturating_add(b), t, "{} cell {}", level.name(), i);
-                }
                 for subpixel in [false, true] {
-                    census_winners_into(&fwd, &bwd, width, height, levels, subpixel, &mut map);
-                    let expected = reference_winners(&total, width, height, levels, subpixel);
-                    let bits = |m: &DisparityMap| -> Vec<u32> {
-                        m.as_image().as_slice().iter().map(|v| v.to_bits()).collect()
+                    let mut pass = CensusPass {
+                        costs: CensusCostVolume::from_costs(width, height, levels - 1, costs.clone()),
+                        ..Default::default()
                     };
+                    census_pass(&mut pass, p1, p2, subpixel, level, &mut map);
+                    prop_assert_eq!(&pass.sums, &forward, "{} forward sums", level.name());
+                    let expected = reference_winners(&total, width, height, levels, subpixel);
                     prop_assert_eq!(bits(&map), bits(&expected), "{} subpixel {}", level.name(), subpixel);
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The left-right check gives the bits of the mirrored reference
+        /// for both metrics, every census window and sub-pixel on and
+        /// off.
+        #[test]
+        fn left_right_check_matches_the_mirrored_reference(
+            width in 1usize..41,
+            height in 1usize..41,
+            max_disparity in 1usize..71,
+            seed in 0u64..1_000,
+            window in 0usize..3,
+            subpixel in 0u32..2,
+            census in 0u32..2,
+        ) {
+            let (subpixel, census) = (subpixel == 1, census == 1);
+            let (left, right) = seeded_pair(width, height, seed);
+            let params = SgmParams {
+                max_disparity,
+                p2: 16.0,
+                subpixel,
+                left_right_check: true,
+                metric: if census { CostMetric::Census } else { CostMetric::Sad },
+                census_window: [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7][window],
+                ..Default::default()
+            };
+            let map = semi_global_match(&left, &right, &params).unwrap();
+            prop_assert_eq!(bits(&map), bits(&mirrored_reference(&left, &right, &params)));
         }
     }
 
@@ -1137,9 +1321,10 @@ mod tests {
     fn retained_bytes_counts_the_left_right_check_buffers() {
         let (width, height) = (40, 28);
         let (l, r, _) = two_plane_pair(width, height, 3, 9);
+        let levels = 13;
         let retained = |left_right_check: bool| {
             let params = SgmParams {
-                max_disparity: 12,
+                max_disparity: levels - 1,
                 metric: CostMetric::Census,
                 left_right_check,
                 ..Default::default()
@@ -1147,17 +1332,25 @@ mod tests {
             let mut ws = SgmWorkspace::new();
             let mut out = DisparityMap::invalid(0, 0);
             semi_global_match_with(&mut ws, &l, &r, &params, &mut out).unwrap();
-            // A census pass checks out two volume-sized aggregation buffers.
-            assert_eq!(ws.ipool.retained(), 2);
+            // The census check reads the right view's own pass: it mirrors
+            // no image.
+            assert_eq!(
+                ws.mirror_l.retained_bytes() + ws.mirror_r.retained_bytes(),
+                0
+            );
+            let used = ws.passes.iter().filter(|p| p.sums.capacity() > 0).count();
+            assert_eq!(used, if left_right_check { 2 } else { 1 });
             let bytes = ws.retained_bytes();
             ws.trim();
             assert_eq!(ws.retained_bytes(), 0);
             bytes
         };
         let (off, on) = (retained(false), retained(true));
-        // Two mirrored images and the right-reference map.
+        // The right view's pass (a u8 cost volume and a u16 volume of
+        // forward sums) and its map.
+        let cells = width * height * levels;
         assert!(
-            on >= off + 3 * width * height * 4,
+            on >= off + 3 * cells + width * height * 4,
             "check on {on}, off {off}"
         );
     }

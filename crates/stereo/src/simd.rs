@@ -24,6 +24,7 @@
 // scoped to this module and every unsafe block documents its invariant.
 #![allow(unsafe_code)]
 
+use crate::census::Reference;
 use std::sync::OnceLock;
 
 /// Instruction-set tier a kernel runs at.
@@ -348,125 +349,286 @@ fn census_pixel_u64(rows: &[&[f32]], rx: usize, x: usize, width: usize) -> u64 {
 // Hamming-distance cost kernels
 // ---------------------------------------------------------------------------
 
-/// Hamming cost row over `u64` descriptors:
-/// `out[x * levels + d] = popcount(ldesc[x] ^ rdesc[clamp(x - d, 0)])`.
-/// `out.len()` must be `ldesc.len() * levels`.
+/// Hamming cost row over `u64` descriptors, one `levels`-long span per pixel
+/// of the `reference` view:
+///
+/// * [`Reference::Left`]: `out[x * levels + d] = popcount(ldesc[x] ^
+///   rdesc[max(x - d, 0)])`;
+/// * [`Reference::Right`]: `out[x * levels + d] = popcount(rdesc[x] ^
+///   ldesc[min(x + d, width - 1)])`.
+///
+/// `out.len()` must be `ldesc.len() * levels`.  The AVX2 tier fills 16
+/// disparities per step.
 pub fn hamming_row_u64(
     level: SimdLevel,
+    reference: Reference,
     ldesc: &[u64],
     rdesc: &[u64],
     levels: usize,
     out: &mut [u8],
 ) {
-    debug_assert_eq!(ldesc.len(), rdesc.len());
-    debug_assert_eq!(out.len(), ldesc.len() * levels);
+    assert_eq!(ldesc.len(), rdesc.len());
+    assert_eq!(out.len(), ldesc.len() * levels);
+    if levels == 0 {
+        return;
+    }
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
-            // SAFETY: caller verified AVX2 support (which implies popcnt).
-            unsafe { hamming_row_u64_avx2(ldesc, rdesc, levels, out) }
+            // SAFETY: caller verified AVX2 support (which implies popcnt);
+            // the slice lengths were checked above.
+            unsafe { hamming_row_u64_avx2(reference, ldesc, rdesc, levels, out) }
         }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse42 => {
             // SAFETY: caller verified SSE4.2 + popcnt support.
-            unsafe { hamming_row_u64_popcnt(ldesc, rdesc, levels, out) }
+            unsafe { hamming_row_u64_popcnt(reference, ldesc, rdesc, levels, out) }
         }
-        _ => hamming_row_u64_scalar(ldesc, rdesc, levels, out),
+        _ => hamming_row_scalar(reference, ldesc, rdesc, levels, out),
     }
 }
 
 /// Hamming cost row over `u32` descriptors (see [`hamming_row_u64`]).
 pub fn hamming_row_u32(
     level: SimdLevel,
+    reference: Reference,
     ldesc: &[u32],
     rdesc: &[u32],
     levels: usize,
     out: &mut [u8],
 ) {
-    debug_assert_eq!(ldesc.len(), rdesc.len());
-    debug_assert_eq!(out.len(), ldesc.len() * levels);
+    assert_eq!(ldesc.len(), rdesc.len());
+    assert_eq!(out.len(), ldesc.len() * levels);
+    if levels == 0 {
+        return;
+    }
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
-            // SAFETY: caller verified AVX2 support.
-            unsafe { hamming_row_u32_avx2(ldesc, rdesc, levels, out) }
+            // SAFETY: caller verified AVX2 support; the slice lengths were
+            // checked above.
+            unsafe { hamming_row_u32_avx2(reference, ldesc, rdesc, levels, out) }
         }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse42 => {
             // SAFETY: caller verified SSE4.2 + popcnt support.
-            unsafe { hamming_row_u32_popcnt(ldesc, rdesc, levels, out) }
+            unsafe { hamming_row_u32_popcnt(reference, ldesc, rdesc, levels, out) }
         }
-        _ => hamming_row_u32_scalar(ldesc, rdesc, levels, out),
+        _ => hamming_row_scalar(reference, ldesc, rdesc, levels, out),
     }
 }
 
-fn hamming_row_u64_scalar(ldesc: &[u64], rdesc: &[u64], levels: usize, out: &mut [u8]) {
-    for (x, &l) in ldesc.iter().enumerate() {
-        let base = x * levels;
-        for d in 0..levels {
-            let rx = x.saturating_sub(d);
-            out[base + d] = (l ^ rdesc[rx]).count_ones() as u8;
-        }
+/// The scalar Hamming row of either descriptor width; also the border and
+/// tail path of the AVX2 tier (one pixel's span from disparity `from` on).
+#[inline]
+fn hamming_row_scalar<T: Copy + Into<u64>>(
+    reference: Reference,
+    ldesc: &[T],
+    rdesc: &[T],
+    levels: usize,
+    out: &mut [u8],
+) {
+    for (x, span) in out.chunks_exact_mut(levels).enumerate() {
+        hamming_span_scalar(reference, ldesc, rdesc, x, 0, span);
     }
 }
 
-fn hamming_row_u32_scalar(ldesc: &[u32], rdesc: &[u32], levels: usize, out: &mut [u8]) {
-    for (x, &l) in ldesc.iter().enumerate() {
-        let base = x * levels;
-        for d in 0..levels {
-            let rx = x.saturating_sub(d);
-            out[base + d] = (l ^ rdesc[rx]).count_ones() as u8;
-        }
+/// Disparities `from..` of pixel `x`'s span (see [`hamming_row_u64`]).
+#[inline]
+fn hamming_span_scalar<T: Copy + Into<u64>>(
+    reference: Reference,
+    ldesc: &[T],
+    rdesc: &[T],
+    x: usize,
+    from: usize,
+    span: &mut [u8],
+) {
+    let last = ldesc.len() - 1;
+    let (own, other) = match reference {
+        Reference::Left => (ldesc[x].into(), rdesc),
+        Reference::Right => (rdesc[x].into(), ldesc),
+    };
+    for (d, slot) in span.iter_mut().enumerate().skip(from) {
+        let o = match reference {
+            Reference::Left => x.saturating_sub(d),
+            Reference::Right => (x + d).min(last),
+        };
+        *slot = (own ^ other[o].into()).count_ones() as u8;
+    }
+}
+
+/// First disparity of the 16-disparity block starting at `d` whose
+/// descriptors in the other view all lie inside the row, as the index of
+/// the block's lowest-addressed descriptor (`None` when the block clamps at
+/// a border).  The block's descriptors are contiguous: descending
+/// disparities for [`Reference::Left`], ascending for [`Reference::Right`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline]
+fn hamming_block_start(reference: Reference, x: usize, d: usize, width: usize) -> Option<usize> {
+    match reference {
+        Reference::Left => x.checked_sub(d + 15),
+        Reference::Right => (x + d + 15 < width).then_some(x + d),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Integer SGM aggregation kernel
+// Integer SGM sweep kernel
 // ---------------------------------------------------------------------------
 
-/// One pixel of the integer SGM recurrence over census costs:
+/// One pixel of a census SGM sweep: the recurrences of the sweep's
+/// horizontal and vertical path, and their saturating sum.
 ///
-/// `out[d] = (min(prev[d], prev[d-1]+P1, prev[d+1]+P1, min(prev)+P2)
-///            - min(prev)).saturating_add(cost[d])`
+/// Every path span is *guarded*: `levels + 2` cells, the span itself at
+/// `1..=levels` between two `u16::MAX` cells that the kernel reads as the
+/// neighbours of the end disparities and never writes.  With `m =
+/// prev_min`, each path computes, saturating on every addition,
 ///
-/// with `u16::saturating_add` semantics on every addition. `prev`, `cost`
-/// and `out` all have `levels` elements.
-pub fn census_aggregate_span(
-    level: SimdLevel,
+/// `out[d] = min(prev[d], prev[d-1]+P1, prev[d+1]+P1, m+P2) - m + cost[d]`,
+///
+/// so a path's first pixel is this recurrence over an all-zero span with
+/// minimum 0, which yields its raw costs.
+#[derive(Debug)]
+pub struct SweepStep<'a> {
+    /// The pixel's `levels` matching costs.
+    pub cost: &'a [u8],
+    /// Penalty for a one-level disparity change.
+    pub p1: u16,
+    /// Penalty for a larger disparity change.
+    pub p2: u16,
+    /// The horizontal path's previous span (guarded).
+    pub h_prev: &'a [u16],
+    /// The minimum of `h_prev`'s span.
+    pub h_min: u16,
+    /// The vertical path's previous span (guarded).
+    pub v_prev: &'a [u16],
+    /// The minimum of `v_prev`'s span.
+    pub v_min: u16,
+    /// Receives the horizontal path's new span (guarded; the guards are
+    /// left alone).
+    pub h_out: &'a mut [u16],
+    /// Receives the vertical path's new span (guarded).
+    pub v_out: &'a mut [u16],
+    /// A span added to the sum (the forward sweep's sums, in the backward
+    /// sweep), if any.
+    pub base: Option<&'a [u16]>,
+    /// Receives `h_out[d] + v_out[d] (+ base[d])`, saturating, `levels`
+    /// cells.
+    pub sum: &'a mut [u16],
+}
+
+/// What [`census_sweep_step`] returns besides its spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepMins {
+    /// The minimum of the new horizontal span.
+    pub h: u16,
+    /// The minimum of the new vertical span.
+    pub v: u16,
+    /// With a `base`, the first disparity holding the minimum of `sum` (the
+    /// winner of a strict-`<` scan); 0 without one.
+    pub best: usize,
+}
+
+impl SweepStep<'_> {
+    /// Checks the span lengths the vector tier relies on.
+    fn check(&self) {
+        let levels = self.cost.len();
+        assert!(levels > 0, "empty span");
+        for path in [self.h_prev, self.v_prev, &*self.h_out, &*self.v_out] {
+            assert_eq!(path.len(), levels + 2, "guarded span length");
+        }
+        assert_eq!(self.sum.len(), levels, "sum length");
+        if let Some(base) = self.base {
+            assert_eq!(base.len(), levels, "base length");
+        }
+    }
+}
+
+/// One census sweep step at the given tier (see [`SweepStep`]); every tier
+/// gives the same spans and minima.
+///
+/// # Panics
+///
+/// Panics when a span's length does not match `step.cost`.
+pub fn census_sweep_step(level: SimdLevel, step: &mut SweepStep<'_>) -> SweepMins {
+    step.check();
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if step.cost.len() >= 16 => {
+            // SAFETY: caller verified AVX2 support; the spans were checked
+            // above and hold at least 16 levels.
+            unsafe { census_sweep_step_avx2(step) }
+        }
+        _ => census_sweep_step_scalar(step),
+    }
+}
+
+/// A whole image row of a census sweep at the given tier, each pixel a
+/// [`census_sweep_step`] run inline (see [`crate::sgm`]'s `sweep_row`).
+pub(crate) fn census_sweep_row(level: SimdLevel, row: crate::sgm::SweepRow<'_>) {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if row.levels() >= 16 => {
+            // SAFETY: caller verified AVX2 support; the row has at least 16
+            // levels.
+            unsafe { census_sweep_row_avx2(row) }
+        }
+        _ => crate::sgm::sweep_row(row, census_sweep_step_scalar),
+    }
+}
+
+/// One path's recurrence over guarded spans; returns the new span's
+/// minimum.
+#[inline]
+fn sweep_path_scalar(
     prev: &[u16],
+    prev_min: u16,
     cost: &[u8],
     p1: u16,
     p2: u16,
     out: &mut [u16],
-) {
-    debug_assert_eq!(prev.len(), out.len());
-    debug_assert_eq!(cost.len(), out.len());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            // SAFETY: caller verified AVX2 support.
-            unsafe { census_aggregate_span_avx2(prev, cost, p1, p2, out) }
-        }
-        _ => census_aggregate_span_scalar(prev, cost, p1, p2, out),
+) -> u16 {
+    let jump = prev_min.saturating_add(p2);
+    let mut new_min = u16::MAX;
+    for (d, (slot, &c)) in out[1..=cost.len()].iter_mut().zip(cost).enumerate() {
+        let best = prev[d + 1]
+            .min(prev[d].saturating_add(p1))
+            .min(prev[d + 2].saturating_add(p1))
+            .min(jump);
+        // `best >= prev_min`: every candidate is at least the minimum (the
+        // guards are `u16::MAX`).
+        *slot = (best - prev_min).saturating_add(u16::from(c));
+        new_min = new_min.min(*slot);
     }
+    new_min
 }
 
-fn census_aggregate_span_scalar(prev: &[u16], cost: &[u8], p1: u16, p2: u16, out: &mut [u16]) {
-    let levels = prev.len();
-    let prev_min = prev.iter().copied().min().unwrap_or(0);
-    let jump = prev_min.saturating_add(p2);
-    for d in 0..levels {
-        let mut best = prev[d];
-        if d > 0 {
-            best = best.min(prev[d - 1].saturating_add(p1));
+#[inline]
+fn census_sweep_step_scalar(step: &mut SweepStep<'_>) -> SweepMins {
+    let (cost, p1, p2) = (step.cost, step.p1, step.p2);
+    let h = sweep_path_scalar(step.h_prev, step.h_min, cost, p1, p2, step.h_out);
+    let v = sweep_path_scalar(step.v_prev, step.v_min, cost, p1, p2, step.v_out);
+    let levels = cost.len();
+    let paths = step.h_out[1..=levels].iter().zip(&step.v_out[1..=levels]);
+    let best = match step.base {
+        None => {
+            for (slot, (&a, &b)) in step.sum.iter_mut().zip(paths) {
+                *slot = a.saturating_add(b);
+            }
+            0
         }
-        if d + 1 < levels {
-            best = best.min(prev[d + 1].saturating_add(p1));
+        Some(base) => {
+            let mut best = (u16::MAX, 0);
+            for (d, ((slot, (&a, &b)), &c)) in step.sum.iter_mut().zip(paths).zip(base).enumerate()
+            {
+                *slot = a.saturating_add(b).saturating_add(c);
+                if *slot < best.0 {
+                    best = (*slot, d);
+                }
+            }
+            best.1
         }
-        best = best.min(jump);
-        // `best >= prev_min` because every candidate is >= the row minimum.
-        out[d] = (best - prev_min).saturating_add(cost[d] as u16);
-    }
+    };
+    SweepMins { h, v, best }
 }
 
 // ---------------------------------------------------------------------------
@@ -475,6 +637,7 @@ fn census_aggregate_span_scalar(prev: &[u16], cost: &[u8], p1: u16, p2: u16, out
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::census::Reference;
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -712,6 +875,7 @@ mod x86 {
     /// is the safe scalar kernel, recompiled with hardware popcount.
     #[target_feature(enable = "sse4.2", enable = "popcnt")]
     pub(super) unsafe fn hamming_row_u64_popcnt(
+        reference: Reference,
         ldesc: &[u64],
         rdesc: &[u64],
         levels: usize,
@@ -719,7 +883,7 @@ mod x86 {
     ) {
         // Same source as the scalar tier; `count_ones` compiles to the
         // hardware `popcnt` instruction inside this target_feature scope.
-        super::hamming_row_u64_scalar(ldesc, rdesc, levels, out);
+        super::hamming_row_scalar(reference, ldesc, rdesc, levels, out);
     }
 
     /// # Safety
@@ -728,25 +892,19 @@ mod x86 {
     /// is the safe scalar kernel, recompiled with hardware popcount.
     #[target_feature(enable = "sse4.2", enable = "popcnt")]
     pub(super) unsafe fn hamming_row_u32_popcnt(
+        reference: Reference,
         ldesc: &[u32],
         rdesc: &[u32],
         levels: usize,
         out: &mut [u8],
     ) {
-        super::hamming_row_u32_scalar(ldesc, rdesc, levels, out);
+        super::hamming_row_scalar(reference, ldesc, rdesc, levels, out);
     }
 
-    /// Per-64-bit-lane popcount via the nibble-LUT `vpshufb` trick reduced
-    /// with `vpsadbw`; exactly matches `u64::count_ones` per lane.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `avx2`; the body is pure
-    /// register arithmetic with no memory access.
+    /// Per-byte popcount via the nibble-LUT `vpshufb` trick.
     #[target_feature(enable = "avx2")]
-    unsafe fn popcnt_epi64(v: __m256i) -> __m256i {
-        // Pure register arithmetic, no memory access: the intrinsics are safe
-        // to call inside this matching `target_feature` scope.
+    #[inline]
+    fn popcnt_epi8(v: __m256i) -> __m256i {
         let lut = _mm256_setr_epi8(
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
             3, 3, 4,
@@ -754,177 +912,277 @@ mod x86 {
         let low = _mm256_set1_epi8(0x0f);
         let lo = _mm256_and_si256(v, low);
         let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low);
-        let cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-        _mm256_sad_epu8(cnt, _mm256_setzero_si256())
+        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
     }
 
+    /// Byte `k` of the 16-disparity block at `d` comes from packed byte
+    /// `MASK[k]`; see the two kernels below for the packed layouts.
+    const U64_LEFT: [u8; 16] = [15, 11, 7, 3, 14, 10, 6, 2, 13, 9, 5, 1, 12, 8, 4, 0];
+    const U64_RIGHT: [u8; 16] = [0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15];
+    const U32_LEFT: ([u8; 16], [i32; 8]) = (
+        [
+            12, 8, 4, 0, 13, 9, 5, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+        ],
+        [5, 1, 4, 0, 5, 1, 4, 0],
+    );
+    const U32_RIGHT: ([u8; 16], [i32; 8]) = (
+        [
+            0, 4, 8, 12, 1, 5, 9, 13, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+        ],
+        [0, 4, 1, 5, 0, 4, 1, 5],
+    );
+
+    /// Sixteen disparities per step.  The block's 16 descriptors of the
+    /// other view are contiguous; register `i` holds descriptors `4i..4i+4`
+    /// and its 64-bit lane `j` their popcount, `vpsadbw`-summed.  Shifting
+    /// register `i` left by `8i` bits and OR-ing packs descriptor `4i + j`'s
+    /// count into byte `i` of lane `j`; `vpermd` gathers the four lanes'
+    /// low dwords, so descriptor `e` lands at byte `4 (e % 4) + e / 4`, and
+    /// one `pshufb` orders the bytes by disparity (descriptor `15 - k` for
+    /// the left reference, `k` for the right).
+    ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports `avx2` and `popcnt`, and that
-    /// `ldesc.len() == rdesc.len()` with `out.len() >= ldesc.len() *
-    /// levels` (each pixel writes one `levels`-long cost span).
+    /// Caller must ensure the CPU supports `avx2` and that `ldesc.len() ==
+    /// rdesc.len()` with `out.len() == ldesc.len() * levels`.
     #[target_feature(enable = "avx2", enable = "popcnt")]
     pub(super) unsafe fn hamming_row_u64_avx2(
+        reference: Reference,
         ldesc: &[u64],
         rdesc: &[u64],
         levels: usize,
         out: &mut [u8],
     ) {
-        for (x, &l) in ldesc.iter().enumerate() {
-            let base = x * levels;
-            let mut d = 0usize;
-            // SAFETY: the 4-wide u64 load at rdesc[x - d - 3] requires
-            // d + 3 <= x (checked) and reads 4 elements ending at
-            // rdesc[x - d] with x - d < width.
-            unsafe {
-                let lv = _mm256_set1_epi64x(l as i64);
-                let mut lanes = [0u64; 4];
-                while d + 4 <= levels && d + 3 <= x {
-                    let r = _mm256_loadu_si256(rdesc.as_ptr().add(x - d - 3).cast());
-                    let cnt = popcnt_epi64(_mm256_xor_si256(lv, r));
-                    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), cnt);
-                    // Ascending memory lane j holds rdesc[x - d - 3 + j],
-                    // i.e. disparity d + 3 - j.
-                    out[base + d] = lanes[3] as u8;
-                    out[base + d + 1] = lanes[2] as u8;
-                    out[base + d + 2] = lanes[1] as u8;
-                    out[base + d + 3] = lanes[0] as u8;
-                    d += 4;
+        let width = ldesc.len();
+        let (own_row, other, mask) = match reference {
+            Reference::Left => (ldesc, rdesc, U64_LEFT),
+            Reference::Right => (rdesc, ldesc, U64_RIGHT),
+        };
+        // SAFETY: `mask` is 16 readable bytes.
+        let mask = unsafe { _mm_loadu_si128(mask.as_ptr().cast()) };
+        let gather = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+        for (x, span) in out.chunks_exact_mut(levels).enumerate() {
+            let own = _mm256_set1_epi64x(own_row[x] as i64);
+            let mut d = 0;
+            while d + 16 <= levels {
+                let Some(start) = super::hamming_block_start(reference, x, d, width) else {
+                    break;
+                };
+                // SAFETY: `hamming_block_start` returns a start with
+                // `start + 16 <= width`, so the four 4-wide loads stay in
+                // `other`; the 16-byte store ends at `d + 16 <= levels`.
+                unsafe {
+                    let count = |i: usize| {
+                        let block = _mm256_loadu_si256(other.as_ptr().add(start + 4 * i).cast());
+                        popcnt_epi64(_mm256_xor_si256(own, block))
+                    };
+                    let packed = _mm256_or_si256(
+                        _mm256_or_si256(count(0), _mm256_slli_epi64::<8>(count(1))),
+                        _mm256_or_si256(
+                            _mm256_slli_epi64::<16>(count(2)),
+                            _mm256_slli_epi64::<24>(count(3)),
+                        ),
+                    );
+                    let low = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(packed, gather));
+                    _mm_storeu_si128(span.as_mut_ptr().add(d).cast(), _mm_shuffle_epi8(low, mask));
                 }
+                d += 16;
             }
-            for d in d..levels {
-                let rx = x.saturating_sub(d);
-                out[base + d] = (l ^ rdesc[rx]).count_ones() as u8;
-            }
+            super::hamming_span_scalar(reference, ldesc, rdesc, x, d, span);
         }
     }
 
+    /// The `u32` counterpart of [`hamming_row_u64_avx2`]: register `i`
+    /// holds descriptors `8i..8i+8`, popcounted per dword; shifting register
+    /// 1 left by 8 bits and OR-ing puts descriptor `j`'s count in byte 0 and
+    /// descriptor `8 + j`'s in byte 1 of dword `j`.  A lane-wise `pshufb`
+    /// then packs each 128-bit lane's eight counts into its two low dwords,
+    /// and `vpermd` orders the four dwords by disparity.
+    ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports `avx2` and `popcnt`, with the
-    /// same slice contract as the u64 variant.
+    /// Caller must ensure the CPU supports `avx2`, with the slice contract
+    /// of the u64 variant.
     #[target_feature(enable = "avx2", enable = "popcnt")]
     pub(super) unsafe fn hamming_row_u32_avx2(
+        reference: Reference,
         ldesc: &[u32],
         rdesc: &[u32],
         levels: usize,
         out: &mut [u8],
     ) {
-        for (x, &l) in ldesc.iter().enumerate() {
-            let base = x * levels;
-            let mut d = 0usize;
-            // SAFETY: the 8-wide u32 load at rdesc[x - d - 7] requires
-            // d + 7 <= x (checked) and reads 8 elements ending at
-            // rdesc[x - d] with x - d < width.
-            unsafe {
-                let lv = _mm256_set1_epi32(l as i32);
-                let ones8 = _mm256_set1_epi8(1);
-                let ones16 = _mm256_set1_epi16(1);
-                let lut = _mm256_setr_epi8(
-                    0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                    2, 3, 2, 3, 3, 4,
-                );
-                let low = _mm256_set1_epi8(0x0f);
-                let mut lanes = [0u32; 8];
-                while d + 8 <= levels && d + 7 <= x {
-                    let r = _mm256_loadu_si256(rdesc.as_ptr().add(x - d - 7).cast());
-                    let v = _mm256_xor_si256(lv, r);
-                    let lo = _mm256_and_si256(v, low);
-                    let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low);
-                    let cnt =
-                        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-                    // Per-u32 popcount: byte counts -> u16 pair sums -> u32 sums.
-                    let s32 = _mm256_madd_epi16(_mm256_maddubs_epi16(cnt, ones8), ones16);
-                    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), s32);
-                    // Ascending lane j is disparity d + 7 - j.
-                    for j in 0..8 {
-                        out[base + d + j] = lanes[7 - j] as u8;
-                    }
-                    d += 8;
+        let width = ldesc.len();
+        let (own_row, other, (bytes, dwords)) = match reference {
+            Reference::Left => (ldesc, rdesc, U32_LEFT),
+            Reference::Right => (rdesc, ldesc, U32_RIGHT),
+        };
+        // SAFETY: `bytes` is 16 and `dwords` 32 readable bytes.
+        let (shuffle, order) = unsafe {
+            let bytes = _mm_loadu_si128(bytes.as_ptr().cast());
+            (
+                _mm256_set_m128i(bytes, bytes),
+                _mm256_loadu_si256(dwords.as_ptr().cast()),
+            )
+        };
+        let ones8 = _mm256_set1_epi8(1);
+        let ones16 = _mm256_set1_epi16(1);
+        for (x, span) in out.chunks_exact_mut(levels).enumerate() {
+            let own = _mm256_set1_epi32(own_row[x] as i32);
+            let mut d = 0;
+            while d + 16 <= levels {
+                let Some(start) = super::hamming_block_start(reference, x, d, width) else {
+                    break;
+                };
+                // SAFETY: as in the u64 variant, `start + 16 <= width` and
+                // the store ends at `d + 16 <= levels`.
+                unsafe {
+                    let count = |i: usize| {
+                        let block = _mm256_loadu_si256(other.as_ptr().add(start + 8 * i).cast());
+                        let bytes = popcnt_epi8(_mm256_xor_si256(own, block));
+                        _mm256_madd_epi16(_mm256_maddubs_epi16(bytes, ones8), ones16)
+                    };
+                    let packed = _mm256_or_si256(count(0), _mm256_slli_epi32::<8>(count(1)));
+                    let lanes = _mm256_shuffle_epi8(packed, shuffle);
+                    let ordered = _mm256_permutevar8x32_epi32(lanes, order);
+                    _mm_storeu_si128(
+                        span.as_mut_ptr().add(d).cast(),
+                        _mm256_castsi256_si128(ordered),
+                    );
                 }
+                d += 16;
             }
-            for d in d..levels {
-                let rx = x.saturating_sub(d);
-                out[base + d] = (l ^ rdesc[rx]).count_ones() as u8;
-            }
+            super::hamming_span_scalar(reference, ldesc, rdesc, x, d, span);
         }
     }
 
+    /// Per-64-bit-lane popcount: byte counts reduced with `vpsadbw`;
+    /// exactly matches `u64::count_ones` per lane.
+    ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports `avx2` and that `prev`, `cost`
-    /// and `out` all have exactly `levels` elements (one cost per
-    /// disparity level).
+    /// Caller must ensure the CPU supports `avx2`; the body is pure
+    /// register arithmetic with no memory access.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn census_aggregate_span_avx2(
-        prev: &[u16],
-        cost: &[u8],
-        p1: u16,
-        p2: u16,
-        out: &mut [u16],
-    ) {
-        let levels = prev.len();
-        if levels < 18 {
-            super::census_aggregate_span_scalar(prev, cost, p1, p2, out);
-            return;
-        }
-        // SAFETY: all vector loads/stores below stay inside [0, levels):
-        // 16-lane min-reduce chunks are guarded by `i + 16 <= levels`; the
-        // recurrence chunks cover dd..dd+16 with 1 <= dd <= levels - 17, so
-        // the d±1 neighbour loads span [0, levels - 1] and the 16-byte cost
-        // load ends before levels.
+    #[inline]
+    unsafe fn popcnt_epi64(v: __m256i) -> __m256i {
+        _mm256_sad_epu8(popcnt_epi8(v), _mm256_setzero_si256())
+    }
+
+    /// The minimum of a vector's sixteen `u16` lanes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn min_epu16(v: __m256i) -> u16 {
+        let halves = _mm_min_epu16(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        _mm_extract_epi16::<0>(_mm_minpos_epu16(halves)) as u16
+    }
+
+    /// A whole sweep row with [`census_sweep_step_avx2`] inlined into
+    /// `sweep_row`'s pixel loop.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `avx2` and that the row has at
+    /// least 16 levels.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn census_sweep_row_avx2(row: crate::sgm::SweepRow<'_>) {
+        // SAFETY: AVX2 support and `levels >= 16` are this function's
+        // preconditions, and `sweep_row` cuts every span of a step to
+        // `levels` or `levels + 2` cells (the lengths `SweepStep::check`
+        // asserts).
+        crate::sgm::sweep_row(row, |step| unsafe { census_sweep_step_avx2(step) });
+    }
+
+    /// [`super::census_sweep_step`] in 16-level chunks: both paths'
+    /// recurrences, their sum and the running minima share each chunk's
+    /// registers; a last chunk that would pass the end is moved back to end
+    /// at `levels`, recomputing some levels with the same values.  The
+    /// minima reduce with `phminposuw`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports `avx2`, that `step` passed
+    /// [`super::SweepStep::check`] and that it has at least 16 levels.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) unsafe fn census_sweep_step_avx2(
+        step: &mut super::SweepStep<'_>,
+    ) -> super::SweepMins {
+        let levels = step.cost.len();
+        let p1 = _mm256_set1_epi16(step.p1 as i16);
+        let h_jump = _mm256_set1_epi16(step.h_min.saturating_add(step.p2) as i16);
+        let v_jump = _mm256_set1_epi16(step.v_min.saturating_add(step.p2) as i16);
+        let h_floor = _mm256_set1_epi16(step.h_min as i16);
+        let v_floor = _mm256_set1_epi16(step.v_min as i16);
+        let mut h_mins = _mm256_set1_epi16(-1);
+        let mut v_mins = _mm256_set1_epi16(-1);
+        let mut sum_mins = _mm256_set1_epi16(-1);
+        let sum = step.sum.as_mut_ptr();
+        // SAFETY: each chunk covers levels `dd..dd + 16` with `dd + 16 <=
+        // levels`: the guarded spans are read at `dd..dd + 18 <= levels +
+        // 2` and written at `1 + dd..17 + dd <= levels + 1`, the 16-byte
+        // cost load and the sum and base accesses end at `dd + 16`
+        // (lengths checked by `SweepStep::check`).
         unsafe {
-            // Exact row minimum (min is associative, so lane order is free).
-            let mut minv = _mm256_set1_epi16(-1); // u16::MAX
-            let mut i = 0usize;
-            while i + 16 <= levels {
-                minv = _mm256_min_epu16(minv, _mm256_loadu_si256(prev.as_ptr().add(i).cast()));
-                i += 16;
-            }
-            let mut lanes = [0u16; 16];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), minv);
-            let mut prev_min = lanes.iter().copied().min().unwrap_or(u16::MAX);
-            for &v in &prev[i..] {
-                prev_min = prev_min.min(v);
-            }
-
-            let jump = prev_min.saturating_add(p2);
-            let p1v = _mm256_set1_epi16(p1 as i16);
-            let jv = _mm256_set1_epi16(jump as i16);
-            let pmv = _mm256_set1_epi16(prev_min as i16);
-
-            let interior_end = levels - 1;
-            let mut d = 1usize;
-            while d < interior_end {
-                let dd = d.min(interior_end - 16);
-                let same = _mm256_loadu_si256(prev.as_ptr().add(dd).cast());
-                let minus =
-                    _mm256_adds_epu16(_mm256_loadu_si256(prev.as_ptr().add(dd - 1).cast()), p1v);
-                let plus =
-                    _mm256_adds_epu16(_mm256_loadu_si256(prev.as_ptr().add(dd + 1).cast()), p1v);
+            let path = |prev: *const u16, jump: __m256i, floor: __m256i, cost: __m256i| {
+                let same = _mm256_loadu_si256(prev.add(1).cast());
+                let minus = _mm256_adds_epu16(_mm256_loadu_si256(prev.cast()), p1);
+                let plus = _mm256_adds_epu16(_mm256_loadu_si256(prev.add(2).cast()), p1);
                 let best =
-                    _mm256_min_epu16(_mm256_min_epu16(same, _mm256_min_epu16(minus, plus)), jv);
-                let c = _mm256_cvtepu8_epi16(_mm_loadu_si128(cost.as_ptr().add(dd).cast()));
-                let res = _mm256_adds_epu16(_mm256_subs_epu16(best, pmv), c);
-                _mm256_storeu_si256(out.as_mut_ptr().add(dd).cast(), res);
+                    _mm256_min_epu16(_mm256_min_epu16(same, jump), _mm256_min_epu16(minus, plus));
+                _mm256_adds_epu16(_mm256_subs_epu16(best, floor), cost)
+            };
+            let mut d = 0;
+            while d < levels {
+                let dd = d.min(levels - 16);
+                let cost = _mm256_cvtepu8_epi16(_mm_loadu_si128(step.cost.as_ptr().add(dd).cast()));
+                let h = path(step.h_prev.as_ptr().add(dd), h_jump, h_floor, cost);
+                let v = path(step.v_prev.as_ptr().add(dd), v_jump, v_floor, cost);
+                _mm256_storeu_si256(step.h_out.as_mut_ptr().add(1 + dd).cast(), h);
+                _mm256_storeu_si256(step.v_out.as_mut_ptr().add(1 + dd).cast(), v);
+                let mut total = _mm256_adds_epu16(h, v);
+                if let Some(base) = step.base {
+                    total =
+                        _mm256_adds_epu16(total, _mm256_loadu_si256(base.as_ptr().add(dd).cast()));
+                }
+                _mm256_storeu_si256(sum.add(dd).cast(), total);
+                h_mins = _mm256_min_epu16(h_mins, h);
+                v_mins = _mm256_min_epu16(v_mins, v);
+                sum_mins = _mm256_min_epu16(sum_mins, total);
                 d = dd + 16;
             }
-
-            // Boundary hypotheses (one-sided neighbourhood) stay scalar.
-            let d0best = prev[0].min(prev[1].saturating_add(p1)).min(jump);
-            out[0] = (d0best - prev_min).saturating_add(cost[0] as u16);
-            let dl = levels - 1;
-            let dlbest = prev[dl].min(prev[dl - 1].saturating_add(p1)).min(jump);
-            out[dl] = (dlbest - prev_min).saturating_add(cost[dl] as u16);
+        }
+        let mut best = 0;
+        if step.base.is_some() {
+            // The first chunk holding the minimum holds its first level:
+            // chunks ascend, and a moved-back last chunk only repeats
+            // levels an earlier chunk already held.
+            let target = _mm256_set1_epi16(min_epu16(sum_mins) as i16);
+            let mut d = 0;
+            while d < levels {
+                let dd = d.min(levels - 16);
+                // SAFETY: the load covers `dd..dd + 16 <= levels` of `sum`.
+                let chunk = unsafe { _mm256_loadu_si256(sum.add(dd).cast()) };
+                let hits = _mm256_movemask_epi8(_mm256_cmpeq_epi16(chunk, target)) as u32;
+                if hits != 0 {
+                    best = dd + hits.trailing_zeros() as usize / 2;
+                    break;
+                }
+                d = dd + 16;
+            }
+        }
+        super::SweepMins {
+            h: min_epu16(h_mins),
+            v: min_epu16(v_mins),
+            best,
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    abs_diff_row_avx2, add_assign_rows_avx2, census_aggregate_span_avx2, census_row_u32_avx2,
-    census_row_u64_avx2, hamming_row_u32_avx2, hamming_row_u32_popcnt, hamming_row_u64_avx2,
-    hamming_row_u64_popcnt, hwindow_sums_avx2, sad_walks4_avx2,
+    abs_diff_row_avx2, add_assign_rows_avx2, census_row_u32_avx2, census_row_u64_avx2,
+    census_sweep_row_avx2, census_sweep_step_avx2, hamming_row_u32_avx2, hamming_row_u32_popcnt,
+    hamming_row_u64_avx2, hamming_row_u64_popcnt, hwindow_sums_avx2, sad_walks4_avx2,
 };
 
 /// Scalar abs-diff over a sub-range of `out` (border handling shared by the
@@ -965,33 +1223,77 @@ mod tests {
 
     #[test]
     fn hamming_tiers_agree_on_small_input() {
-        let ldesc: Vec<u64> = (0..23u64)
+        let ldesc: Vec<u64> = (0..41u64)
             .map(|x| x.wrapping_mul(0x9e3779b97f4a7c15))
             .collect();
-        let rdesc: Vec<u64> = (0..23u64)
+        let rdesc: Vec<u64> = (0..41u64)
             .map(|x| x.wrapping_mul(0xc2b2ae3d27d4eb4f))
             .collect();
-        let levels = 9;
-        let mut reference = vec![0u8; ldesc.len() * levels];
-        hamming_row_u64(SimdLevel::Scalar, &ldesc, &rdesc, levels, &mut reference);
-        for &level in available_levels() {
-            let mut got = vec![0u8; reference.len()];
-            hamming_row_u64(level, &ldesc, &rdesc, levels, &mut got);
-            assert_eq!(got, reference, "level {}", level.name());
+        for reference in [Reference::Left, Reference::Right] {
+            for levels in [9, 16, 33] {
+                let mut expected = vec![0u8; ldesc.len() * levels];
+                hamming_row_u64(
+                    SimdLevel::Scalar,
+                    reference,
+                    &ldesc,
+                    &rdesc,
+                    levels,
+                    &mut expected,
+                );
+                for &level in available_levels() {
+                    let mut got = vec![0u8; expected.len()];
+                    hamming_row_u64(level, reference, &ldesc, &rdesc, levels, &mut got);
+                    assert_eq!(
+                        got,
+                        expected,
+                        "{reference:?} {levels} level {}",
+                        level.name()
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn aggregate_tiers_agree_on_small_input() {
+    fn sweep_step_tiers_agree_on_small_input() {
         let levels = 33;
-        let prev: Vec<u16> = (0..levels as u16).map(|d| (d * 7 + 3) % 64).collect();
+        let guarded = |f: &dyn Fn(u16) -> u16| -> Vec<u16> {
+            let mut span = vec![u16::MAX; levels + 2];
+            for d in 0..levels as u16 {
+                span[d as usize + 1] = f(d);
+            }
+            span
+        };
+        let h_prev = guarded(&|d| (d * 7 + 3) % 64);
+        let v_prev = guarded(&|d| (d * 11 + 5) % 61);
+        let base: Vec<u16> = (0..levels as u16).map(|d| (d * 13 + 1) % 50).collect();
         let cost: Vec<u8> = (0..levels as u8).map(|d| (d * 5 + 1) % 63).collect();
-        let mut reference = vec![0u16; levels];
-        census_aggregate_span(SimdLevel::Scalar, &prev, &cost, 2, 32, &mut reference);
-        for &level in available_levels() {
-            let mut got = vec![0u16; levels];
-            census_aggregate_span(level, &prev, &cost, 2, 32, &mut got);
-            assert_eq!(got, reference, "level {}", level.name());
+        let run = |level: SimdLevel, base: Option<&[u16]>| {
+            let (mut h_out, mut v_out) = (vec![u16::MAX; levels + 2], vec![u16::MAX; levels + 2]);
+            let mut sum = vec![0u16; levels];
+            let mins = census_sweep_step(
+                level,
+                &mut SweepStep {
+                    cost: &cost,
+                    p1: 2,
+                    p2: 32,
+                    h_prev: &h_prev,
+                    h_min: *h_prev.iter().min().unwrap(),
+                    v_prev: &v_prev,
+                    v_min: *v_prev.iter().min().unwrap(),
+                    h_out: &mut h_out,
+                    v_out: &mut v_out,
+                    base,
+                    sum: &mut sum,
+                },
+            );
+            (mins, h_out, v_out, sum)
+        };
+        for base in [None, Some(&base[..])] {
+            let expected = run(SimdLevel::Scalar, base);
+            for &level in available_levels() {
+                assert_eq!(run(level, base), expected, "level {}", level.name());
+            }
         }
     }
 }

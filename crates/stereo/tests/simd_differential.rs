@@ -11,8 +11,8 @@
 //! comparisons are exercised on every tier the runner supports.
 
 use asv_image::Image;
-use asv_stereo::census::{CensusCostVolume, CensusDescriptors, CensusWindow};
-use asv_stereo::simd::{self, available_levels, SimdLevel};
+use asv_stereo::census::{CensusCostVolume, CensusDescriptors, CensusWindow, Reference};
+use asv_stereo::simd::{self, available_levels, SimdLevel, SweepStep};
 use proptest::prelude::*;
 
 /// The non-scalar tiers this machine can run (empty on non-x86 hosts).
@@ -130,51 +130,98 @@ proptest! {
         }
     }
 
+    /// Both references' Hamming rows, over widths and level counts where
+    /// the AVX2 tier's 16-disparity body runs as well as its border and
+    /// tail lanes.
     #[test]
     fn hamming_rows_are_bit_identical_across_tiers(
-        lbits in collection::vec(0u64..u64::MAX, 1..70),
-        rbits in collection::vec(0u64..u64::MAX, 1..70),
-        levels in 1usize..40,
+        lbits in collection::vec(0u64..u64::MAX, 1..120),
+        rbits in collection::vec(0u64..u64::MAX, 1..120),
+        levels in 1usize..81,
+        right in 0u32..2,
     ) {
+        let reference = if right == 1 { Reference::Right } else { Reference::Left };
         let ldesc = lbits;
         let mut rdesc = rbits;
         rdesc.resize(ldesc.len(), 0xDEAD_BEEF_F00D_u64);
-        let mut reference = vec![0u8; ldesc.len() * levels];
-        simd::hamming_row_u64(SimdLevel::Scalar, &ldesc, &rdesc, levels, &mut reference);
+        let mut expected = vec![0u8; ldesc.len() * levels];
+        simd::hamming_row_u64(SimdLevel::Scalar, reference, &ldesc, &rdesc, levels, &mut expected);
+        for (x, span) in expected.chunks(levels).enumerate() {
+            for (d, &cost) in span.iter().enumerate() {
+                let (own, other) = match reference {
+                    Reference::Left => (ldesc[x], rdesc[x.saturating_sub(d)]),
+                    Reference::Right => (rdesc[x], ldesc[(x + d).min(ldesc.len() - 1)]),
+                };
+                prop_assert_eq!(u32::from(cost), (own ^ other).count_ones(), "({}, {})", x, d);
+            }
+        }
         for level in simd_levels() {
-            let mut out = vec![u8::MAX; reference.len()];
-            simd::hamming_row_u64(level, &ldesc, &rdesc, levels, &mut out);
-            prop_assert_eq!(&reference, &out, "{} hamming_row_u64", level.name());
+            let mut out = vec![u8::MAX; expected.len()];
+            simd::hamming_row_u64(level, reference, &ldesc, &rdesc, levels, &mut out);
+            prop_assert_eq!(&expected, &out, "{} {:?} hamming_row_u64", level.name(), reference);
         }
 
         let ldesc32: Vec<u32> = ldesc.iter().map(|&v| v as u32).collect();
         let rdesc32: Vec<u32> = rdesc.iter().map(|&v| v as u32).collect();
-        let mut reference32 = vec![0u8; ldesc32.len() * levels];
-        simd::hamming_row_u32(SimdLevel::Scalar, &ldesc32, &rdesc32, levels, &mut reference32);
+        let mut expected32 = vec![0u8; ldesc32.len() * levels];
+        simd::hamming_row_u32(SimdLevel::Scalar, reference, &ldesc32, &rdesc32, levels, &mut expected32);
         for level in simd_levels() {
-            let mut out = vec![u8::MAX; reference32.len()];
-            simd::hamming_row_u32(level, &ldesc32, &rdesc32, levels, &mut out);
-            prop_assert_eq!(&reference32, &out, "{} hamming_row_u32", level.name());
+            let mut out = vec![u8::MAX; expected32.len()];
+            simd::hamming_row_u32(level, reference, &ldesc32, &rdesc32, levels, &mut out);
+            prop_assert_eq!(&expected32, &out, "{} {:?} hamming_row_u32", level.name(), reference);
         }
     }
 
+    /// One sweep step at every tier, with and without a base span, from
+    /// random previous spans (their minima computed) and penalties.
     #[test]
-    fn census_aggregate_span_is_bit_identical_across_tiers(
-        prev_bits in collection::vec(0u32..65536, 1..70),
-        cost_bits in collection::vec(0u32..64, 1..70),
+    fn census_sweep_step_is_bit_identical_across_tiers(
+        h_bits in collection::vec(0u32..65536, 1..81),
+        v_bits in collection::vec(0u32..65536, 1..81),
+        base_bits in collection::vec(0u32..65536, 1..81),
+        cost_bits in collection::vec(0u32..64, 1..81),
         p1 in 0u32..65536,
         p2 in 0u32..65536,
+        with_base in 0u32..2,
     ) {
-        let prev: Vec<u16> = prev_bits.iter().map(|&v| v as u16).collect();
-        let mut cost: Vec<u8> = cost_bits.iter().map(|&v| v as u8).collect();
-        cost.resize(prev.len(), 3);
-        let (p1, p2) = (p1 as u16, p2 as u16);
-        let mut reference = vec![0u16; prev.len()];
-        simd::census_aggregate_span(SimdLevel::Scalar, &prev, &cost, p1, p2, &mut reference);
+        let levels = h_bits.len();
+        let guarded = |bits: &[u32]| -> Vec<u16> {
+            let mut span = vec![u16::MAX; levels + 2];
+            for (slot, &b) in span[1..=levels].iter_mut().zip(bits.iter().cycle()) {
+                *slot = b as u16;
+            }
+            span
+        };
+        let (h_prev, v_prev) = (guarded(&h_bits), guarded(&v_bits));
+        let base: Vec<u16> = base_bits.iter().cycle().take(levels).map(|&b| b as u16).collect();
+        let cost: Vec<u8> = cost_bits.iter().cycle().take(levels).map(|&c| c as u8).collect();
+        let base = (with_base == 1).then_some(&base[..]);
+        let run = |level: SimdLevel| {
+            let (mut h_out, mut v_out) = (vec![u16::MAX; levels + 2], vec![u16::MAX; levels + 2]);
+            let mut sum = vec![0u16; levels];
+            let mins = simd::census_sweep_step(
+                level,
+                &mut SweepStep {
+                    cost: &cost,
+                    p1: p1 as u16,
+                    p2: p2 as u16,
+                    h_prev: &h_prev,
+                    h_min: *h_prev.iter().min().unwrap(),
+                    v_prev: &v_prev,
+                    v_min: *v_prev.iter().min().unwrap(),
+                    h_out: &mut h_out,
+                    v_out: &mut v_out,
+                    base,
+                    sum: &mut sum,
+                },
+            );
+            (mins, h_out, v_out, sum)
+        };
+        let expected = run(SimdLevel::Scalar);
+        prop_assert_eq!(expected.1[0], u16::MAX, "guard written");
+        prop_assert_eq!(expected.1[levels + 1], u16::MAX, "guard written");
         for level in simd_levels() {
-            let mut out = vec![u16::MAX; prev.len()];
-            simd::census_aggregate_span(level, &prev, &cost, p1, p2, &mut out);
-            prop_assert_eq!(&reference, &out, "{} census_aggregate_span", level.name());
+            prop_assert_eq!(&run(level), &expected, "{} census_sweep_step", level.name());
         }
     }
 }
@@ -183,7 +230,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// End-to-end differential: the full census transform + Hamming cost
-    /// volume, image in, volume out, per tier.
+    /// volume of either reference, image in, volume out, per tier.
     #[test]
     fn census_cost_volume_is_bit_identical_across_tiers(
         pixels in collection::vec(0u32..256, 1..600),
@@ -200,20 +247,22 @@ proptest! {
         shifted.rotate_right(3);
         let right = Image::from_vec(width, height, shifted).unwrap();
 
-        let reference = volume_at(&left, &right, window, max_disparity, SimdLevel::Scalar);
+        for reference in [Reference::Left, Reference::Right] {
+        let expected = volume_at(&left, &right, window, max_disparity, reference, SimdLevel::Scalar);
         for level in simd_levels() {
-            let volume = volume_at(&left, &right, window, max_disparity, level);
+            let volume = volume_at(&left, &right, window, max_disparity, reference, level);
             for y in 0..height {
                 for x in 0..width {
-                    for d in 0..reference.num_disparities() {
+                    for d in 0..expected.num_disparities() {
                         prop_assert_eq!(
-                            reference.cost(x, y, d),
+                            expected.cost(x, y, d),
                             volume.cost(x, y, d),
-                            "{} cost({}, {}, {})", level.name(), x, y, d
+                            "{} {:?} cost({}, {}, {})", level.name(), reference, x, y, d
                         );
                     }
                 }
             }
+        }
         }
     }
 }
@@ -223,6 +272,7 @@ fn volume_at(
     right: &Image,
     window: CensusWindow,
     max_disparity: usize,
+    reference: Reference,
     level: SimdLevel,
 ) -> CensusCostVolume {
     let mut dl = CensusDescriptors::new();
@@ -230,6 +280,6 @@ fn volume_at(
     dl.fill_from(left, window, level);
     dr.fill_from(right, window, level);
     let mut volume = CensusCostVolume::new();
-    volume.fill_from_descriptors(&dl, &dr, max_disparity, level);
+    volume.fill_from_descriptors(&dl, &dr, max_disparity, reference, level);
     volume
 }
