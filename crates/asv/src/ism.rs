@@ -37,6 +37,7 @@ use asv_scene::StereoSequence;
 use asv_stereo::block_matching::{refine_with_initial_into, BlockMatchParams};
 use asv_stereo::DisparityMap;
 use asv_trace::Stage;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -427,8 +428,8 @@ fn propagate_and_refine_into(
     out: &mut DisparityMap,
 ) -> Result<(), AsvError> {
     // Step 3: motion of both views from t to t+1 (the two flow fields are
-    // independent, so the parallel build computes them concurrently unless
-    // the left one is already available).
+    // independent, so they are computed concurrently unless the left one is
+    // already available).
     if have_left_flow {
         view_flow(
             &mut ws.flow_right,
@@ -485,7 +486,6 @@ fn propagate_and_refine_into(
 /// Computes the left-view and right-view optical flow of one frame step
 /// concurrently (the two estimations share nothing, including their
 /// workspaces).
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
 fn left_right_flows_with(
     prev_left: &Image,
@@ -503,22 +503,6 @@ fn left_right_flows_with(
     l?;
     r?;
     Ok(())
-}
-
-/// Sequential fallback of the two-view flow computation.
-#[cfg(not(feature = "parallel"))]
-#[allow(clippy::too_many_arguments)]
-fn left_right_flows_with(
-    prev_left: &Image,
-    prev_right: &Image,
-    left: &Image,
-    right: &Image,
-    config: &IsmConfig,
-    ws_left: &mut FlowWorkspace,
-    ws_right: &mut FlowWorkspace,
-) -> Result<(), AsvError> {
-    view_flow(ws_left, prev_left, left, &config.flow, Stage::FlowLeft)?;
-    view_flow(ws_right, prev_right, right, &config.flow, Stage::FlowRight)
 }
 
 /// Estimates one view's flow from `prev` to `next` into `ws` and stages the
@@ -568,8 +552,8 @@ pub fn propagate_correspondences(
 /// warm.
 ///
 /// Each source pixel's target (its new index and disparity, or none) is
-/// computed into `targets`, one slot per source pixel, row-parallel with the
-/// `parallel` feature.  One pass then writes the targets in source raster
+/// computed into `targets`, one slot per source pixel, row-parallel on the
+/// rayon pool.  One pass then writes the targets in source raster
 /// order, so where several sources land on one pixel the last one wins, as
 /// in [`propagate_correspondences_serial`] (asserted by a differential
 /// test).
@@ -648,13 +632,7 @@ pub fn propagate_correspondences_into(
             *slot = ((iy * width + ix) as u32, new_d);
         }
     };
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        targets.par_chunks_mut(width).enumerate().for_each(fill_row);
-    }
-    #[cfg(not(feature = "parallel"))]
-    targets.chunks_mut(width).enumerate().for_each(fill_row);
+    targets.par_chunks_mut(width).enumerate().for_each(fill_row);
     let values = out.as_image_mut().as_mut_slice();
     for &(target, d) in targets.iter() {
         if target != NO_TARGET {

@@ -1,8 +1,8 @@
 //! The accuracy gate: the shipped ISM flow against full-resolution Farnebäck
 //! on seeded SceneFlow-like and KITTI-like scenes (`asv::accuracy`).
 //!
-//! The scenes are seeded and every kernel tier and feature configuration
-//! produces the same bits, so the default flow's numbers are pinned to
+//! The scenes are seeded and every kernel tier and pool size produces the
+//! same bits, so the default flow's numbers are pinned to
 //! 0.001 (percentage points for rates, pixels for errors).  A change that
 //! moves output must re-pin them here, regenerate `BENCH_accuracy.json`
 //! with `tab_accuracy`, and say why.

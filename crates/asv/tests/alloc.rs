@@ -3,10 +3,9 @@
 //! Locked properties:
 //! * steady-state `IsmState::step_with` (frames 2..N of a stream, with a
 //!   per-stream [`Workspace`] and result-map recycling) performs **zero**
-//!   heap allocations — in both feature configurations: the sequential
-//!   build always had this, and the persistent worker pool in the offline
-//!   rayon shim (tasks published into static slots, no per-region heap
-//!   traffic) extends it to the parallel build;
+//!   heap allocations, parallel regions included: the persistent worker
+//!   pool in the offline rayon shim publishes tasks into static slots, with
+//!   no per-region heap traffic (and on one core runs them inline);
 //! * the guarantee covers both cost metrics: the SAD separable fill and
 //!   the census/Hamming integer path both run entirely out of pooled
 //!   workspace buffers;
@@ -127,10 +126,9 @@ fn steady_state_allocations_baseline(seq: &StereoSequence, pipe: &IsmPipeline) -
 
 /// The tentpole guarantee: with a warm per-stream workspace, a steady-state
 /// step allocates nothing.  Frames 2..10 of a window-4 stream cover both
-/// non-key frames and re-keyed key frames (frames 4 and 8).  In the
-/// parallel build this additionally locks the rayon shim's persistent
-/// worker pool: parallel regions publish into static task slots and must
-/// not touch the heap.
+/// non-key frames and re-keyed key frames (frames 4 and 8).  This also
+/// locks the rayon shim's persistent worker pool: parallel regions publish
+/// into static task slots and must not touch the heap.
 #[test]
 fn steady_state_step_performs_zero_allocations() {
     let _serial = serial();

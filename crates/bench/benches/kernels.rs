@@ -110,9 +110,8 @@ fn bench_ism_components(c: &mut Criterion) {
 }
 
 /// qHD-scale (960x540) stereo kernels: the operating point of the paper's
-/// system evaluation and the reference workload for the `parallel` feature
-/// (compare `cargo bench -p asv-bench` against
-/// `cargo bench -p asv-bench --no-default-features`).
+/// system evaluation (pin to one core with `taskset -c 0` to time them
+/// without the pool's workers).
 fn bench_qhd_stereo(c: &mut Criterion) {
     let width = 960;
     let height = 540;

@@ -29,17 +29,13 @@ pub enum GateOutcome {
     Failed(Vec<String>),
 }
 
-/// The per-machine baseline file name for a workload, scoped by feature
-/// configuration and frame size so unlike runs never collide.
+/// The per-machine baseline file name for a workload, scoped by every
+/// workload parameter and the SIMD tier so unlike runs never collide.
 pub fn default_gate_file(report: &PerfReport) -> String {
-    let mode = if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        "serial"
-    };
+    let c = &report.config;
     format!(
-        "target/perf-baseline-{mode}-{}x{}.txt",
-        report.config.width, report.config.height
+        "target/perf-baseline-{}x{}-f{}-d{}-pw{}-{}.txt",
+        c.width, c.height, c.frames, c.max_disparity, c.propagation_window, report.simd
     )
 }
 
@@ -195,6 +191,18 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("census_fps="));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unlike_runs_get_their_own_baseline_file() {
+        let report = fake_report(10.0, 40.0, 50.0);
+        let mut wider = report.clone();
+        wider.config.max_disparity += 16;
+        let mut avx2 = report.clone();
+        avx2.simd = "avx2".to_owned();
+        let file = default_gate_file(&report);
+        assert_ne!(file, default_gate_file(&wider));
+        assert_ne!(file, default_gate_file(&avx2));
     }
 
     #[test]

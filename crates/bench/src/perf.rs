@@ -396,8 +396,7 @@ impl PerfReport {
             concat!(
                 "{{\n",
                 "  \"workload\": {{\"width\": {}, \"height\": {}, \"frames\": {}, ",
-                "\"max_disparity\": {}, \"propagation_window\": {}, \"parallel\": {}, ",
-                "\"simd\": \"{}\"}},\n",
+                "\"max_disparity\": {}, \"propagation_window\": {}, \"simd\": \"{}\"}},\n",
                 "  \"baseline\": {},\n",
                 "  \"workspace\": {},\n",
                 "  \"census\": {},\n",
@@ -410,7 +409,6 @@ impl PerfReport {
             c.frames,
             c.max_disparity,
             c.propagation_window,
-            cfg!(feature = "parallel"),
             self.simd,
             path(&self.baseline),
             path(&self.workspace),

@@ -27,6 +27,7 @@ use asv_image::gaussian::{blur_in_place, gaussian_kernel, separable_filter_into}
 use asv_image::pyramid::Pyramid;
 use asv_image::{Bilinear, Image};
 use asv_trace::{KernelTimings, Stage};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Tuning parameters of the Farneback flow estimator.
@@ -227,7 +228,8 @@ pub struct FlowWorkspace {
     exp1: PolyExpansion,
     /// The six weighted moment projections of the expansion.
     moments: [Image; 6],
-    /// Interleaved per-pixel solve buffer of the parallel expansion driver.
+    /// Interleaved per-pixel solve buffer of the expansion's row-parallel
+    /// solve.
     solve: Vec<[f32; 5]>,
     tmp: Image,
     tmp2: Image,
@@ -239,7 +241,7 @@ pub struct FlowWorkspace {
     flow_a: FlowField,
     flow_b: FlowField,
     /// Per-call kernel timings, staged here so they survive execution on a
-    /// pool worker thread (the parallel build runs the two flow directions
+    /// pool worker thread (the ISM pipeline runs the two flow directions
     /// under `rayon::join`) and can be harvested by the calling thread's
     /// tracer.  Cleared at the start of every [`farneback_flow_with`] call.
     pub timings: KernelTimings,
@@ -443,10 +445,9 @@ fn polynomial_expansion_into(
     out.a22.reshape_scratch(width, height);
     out.a12.reshape_scratch(width, height);
 
-    // Point-wise 6x6 solve per pixel. Rows are independent; with the
-    // `parallel` feature they are computed on the rayon pool (this stage is
-    // the non-convolution hot spot of the expansion). The per-pixel
-    // arithmetic is identical in both drivers.
+    // Point-wise 6x6 solve per pixel. Rows are independent and are computed
+    // on the rayon pool (this stage is the non-convolution hot spot of the
+    // expansion).
     let moments: [&Image; 6] = [v0, v1, v2, v3, v4, v5];
     let solve_pixel = |rows: &[&[f32]; 6], x: usize| -> [f32; 5] {
         let mut r = [0.0f64; 6];
@@ -466,62 +467,33 @@ fn polynomial_expansion_into(
         ]
     };
 
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        // Rows are solved on the pool straight into the retained interleaved
-        // buffer (one `[f32; 5]` cell per pixel), so the steady state of the
-        // parallel build is allocation-free too.
-        solve.resize(width * height, [0.0; 5]);
-        solve
-            .par_chunks_mut(width)
-            .enumerate()
-            .for_each(|(y, row)| {
-                let rows: [&[f32]; 6] =
-                    std::array::from_fn(|m| &moments[m].as_slice()[y * width..][..width]);
-                for (x, cell) in row.iter_mut().enumerate() {
-                    *cell = solve_pixel(&rows, x);
-                }
-            });
-        // Single de-interleaving pass into the five output planes.
-        let mut planes = [
-            out.b1.as_mut_slice(),
-            out.b2.as_mut_slice(),
-            out.a11.as_mut_slice(),
-            out.a22.as_mut_slice(),
-            out.a12.as_mut_slice(),
-        ];
-        for (y, row) in solve.chunks_exact(width).enumerate() {
-            let base = y * width;
-            for (x, cell) in row.iter().enumerate() {
-                for (plane, value) in planes.iter_mut().zip(cell) {
-                    plane[base + x] = *value;
-                }
-            }
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = solve;
-        // Sequential driver: solve straight into the output planes, with no
-        // intermediate row vectors (this keeps the steady state of the
-        // sequential build allocation-free).
-        let mut planes = [
-            out.b1.as_mut_slice(),
-            out.b2.as_mut_slice(),
-            out.a11.as_mut_slice(),
-            out.a22.as_mut_slice(),
-            out.a12.as_mut_slice(),
-        ];
-        for y in 0..height {
+    // Rows are solved on the pool straight into the retained interleaved
+    // buffer (one `[f32; 5]` cell per pixel), so the steady state is
+    // allocation-free.
+    solve.resize(width * height, [0.0; 5]);
+    solve
+        .par_chunks_mut(width)
+        .enumerate()
+        .for_each(|(y, row)| {
             let rows: [&[f32]; 6] =
                 std::array::from_fn(|m| &moments[m].as_slice()[y * width..][..width]);
-            let base = y * width;
-            for x in 0..width {
-                let cell = solve_pixel(&rows, x);
-                for (plane, value) in planes.iter_mut().zip(&cell) {
-                    plane[base + x] = *value;
-                }
+            for (x, cell) in row.iter_mut().enumerate() {
+                *cell = solve_pixel(&rows, x);
+            }
+        });
+    // Single de-interleaving pass into the five output planes.
+    let mut planes = [
+        out.b1.as_mut_slice(),
+        out.b2.as_mut_slice(),
+        out.a11.as_mut_slice(),
+        out.a22.as_mut_slice(),
+        out.a12.as_mut_slice(),
+    ];
+    for (y, row) in solve.chunks_exact(width).enumerate() {
+        let base = y * width;
+        for (x, cell) in row.iter().enumerate() {
+            for (plane, value) in planes.iter_mut().zip(cell) {
+                plane[base + x] = *value;
             }
         }
     }

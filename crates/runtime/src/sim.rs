@@ -22,8 +22,7 @@
 //!   exercises the QoS control loop over thousands of frames without
 //!   running the pipeline.
 //!
-//! CI runs these in both feature configurations; see
-//! `crates/runtime/tests/{cluster,failover,qos}.rs`.
+//! CI runs these through `crates/runtime/tests/{cluster,failover,qos}.rs`.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::net::{self, SequenceGate, TransportCounters};

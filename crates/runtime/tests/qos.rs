@@ -1,7 +1,7 @@
 //! Integration tests of the adaptive QoS loop.
 //!
 //! The headline proof is the seeded virtual-time overload scenario
-//! ([`asv_runtime::run_overload_sim`], run by CI in both feature configs):
+//! ([`asv_runtime::run_overload_sim`], run by CI):
 //! with QoS enabled every over-capacity session settles inside its SLO and
 //! recovers to full quality after the load drops; with QoS disabled the
 //! identical workload shows p95 tail collapse.  The remaining tests drive

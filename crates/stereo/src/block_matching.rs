@@ -22,6 +22,7 @@ use crate::simd::{self, SimdLevel, SAD_LANES};
 use crate::Result;
 use asv_image::cost::{sad_ops_per_block, BlockSpec};
 use asv_image::{round_to_usize, Image};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the local block matcher.
@@ -286,9 +287,8 @@ fn pick_best(
 /// `window(x, y)`, writing the disparities into a reusable output map; a
 /// pixel whose winning cost exceeds `max_cost_per_pixel` per block pixel
 /// gets [`crate::disparity::INVALID_DISPARITY`].  Rows are independent, so
-/// with the `parallel` feature they are distributed over the rayon pool;
-/// either way the pass allocates nothing once `pad` and `out` are warm, and
-/// the produced values are identical.
+/// they are distributed over the rayon pool; the pass allocates nothing once
+/// `pad` and `out` are warm.
 fn match_into(
     level: SimdLevel,
     left: &Image,
@@ -322,13 +322,7 @@ fn match_into(
         );
     };
     let data = out.as_image_mut().as_mut_slice();
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        data.par_chunks_mut(width).enumerate().for_each(match_row);
-    }
-    #[cfg(not(feature = "parallel"))]
-    data.chunks_mut(width).enumerate().for_each(match_row);
+    data.par_chunks_mut(width).enumerate().for_each(match_row);
 }
 
 /// The full-range window of a pixel in column `x`: `0..=max_disparity`,

@@ -16,6 +16,7 @@
 
 use crate::simd::{self, SimdLevel};
 use asv_image::Image;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Census comparison window. Larger windows give more robust descriptors at
@@ -165,35 +166,19 @@ impl CensusDescriptors {
                 let (rows, wh) = row_table(y);
                 simd::census_row_u32(level, &rows[..wh], rx, out);
             };
-            #[cfg(feature = "parallel")]
-            {
-                use rayon::prelude::*;
-                self.words32
-                    .par_chunks_mut(width)
-                    .enumerate()
-                    .for_each(|(y, out)| fill_row(y, out));
-            }
-            #[cfg(not(feature = "parallel"))]
-            for (y, out) in self.words32.chunks_mut(width).enumerate() {
-                fill_row(y, out);
-            }
+            self.words32
+                .par_chunks_mut(width)
+                .enumerate()
+                .for_each(|(y, out)| fill_row(y, out));
         } else {
             let fill_row = |y: usize, out: &mut [u64]| {
                 let (rows, wh) = row_table(y);
                 simd::census_row_u64(level, &rows[..wh], rx, out);
             };
-            #[cfg(feature = "parallel")]
-            {
-                use rayon::prelude::*;
-                self.words64
-                    .par_chunks_mut(width)
-                    .enumerate()
-                    .for_each(|(y, out)| fill_row(y, out));
-            }
-            #[cfg(not(feature = "parallel"))]
-            for (y, out) in self.words64.chunks_mut(width).enumerate() {
-                fill_row(y, out);
-            }
+            self.words64
+                .par_chunks_mut(width)
+                .enumerate()
+                .for_each(|(y, out)| fill_row(y, out));
         }
     }
 }
@@ -353,18 +338,10 @@ impl CensusCostVolume {
                 simd::hamming_row_u64(level, reference, l, r, levels, out);
             }
         };
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            self.costs
-                .par_chunks_mut(row_stride)
-                .enumerate()
-                .for_each(|(y, out)| fill_row(y, out));
-        }
-        #[cfg(not(feature = "parallel"))]
-        for (y, out) in self.costs.chunks_mut(row_stride).enumerate() {
-            fill_row(y, out);
-        }
+        self.costs
+            .par_chunks_mut(row_stride)
+            .enumerate()
+            .for_each(|(y, out)| fill_row(y, out));
     }
 }
 

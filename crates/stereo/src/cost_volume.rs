@@ -7,7 +7,7 @@
 
 use crate::disparity::StereoError;
 use crate::Result;
-use asv_image::cost::{block_sad, BlockSpec};
+use asv_image::cost::BlockSpec;
 use asv_image::Image;
 
 /// A dense cost volume with disparities `0..=max_disparity`.
@@ -20,7 +20,6 @@ pub struct CostVolume {
     costs: Vec<f32>,
     /// Per-band working planes of the separable fill, retained across fills
     /// so the steady state of a stream performs no allocation.
-    #[cfg(feature = "parallel")]
     scratch: Vec<f32>,
 }
 
@@ -51,7 +50,6 @@ impl CostVolume {
             height: 0,
             max_disparity: 0,
             costs: Vec::new(),
-            #[cfg(feature = "parallel")]
             scratch: Vec::new(),
         }
     }
@@ -97,7 +95,6 @@ impl CostVolume {
             self.costs.clear();
             self.costs.resize(cells, 0.0);
         }
-        #[cfg(feature = "parallel")]
         fill_costs_separable(
             left,
             right,
@@ -106,8 +103,6 @@ impl CostVolume {
             &mut self.costs,
             &mut self.scratch,
         );
-        #[cfg(not(feature = "parallel"))]
-        fill_costs_naive(left, right, levels, block, &mut self.costs);
         Ok(())
     }
 
@@ -184,44 +179,10 @@ impl CostVolume {
     }
 }
 
-/// Reference cost filling: one [`block_sad`] call per `(x, y, d)` cell.
-///
-/// `O(W·H·D·B²)` with two border clamps per tap; kept as the
-/// `--no-default-features` baseline and as the differential-test oracle for
-/// the separable implementation below.
-#[cfg_attr(feature = "parallel", allow(dead_code))]
-fn fill_costs_naive(
-    left: &Image,
-    right: &Image,
-    levels: usize,
-    block: BlockSpec,
-    costs: &mut [f32],
-) {
-    let width = left.width();
-    let height = left.height();
-    for y in 0..height {
-        for x in 0..width {
-            for d in 0..levels {
-                let cost = block_sad(
-                    left,
-                    right,
-                    x as isize,
-                    y as isize,
-                    x as isize - d as isize,
-                    y as isize,
-                    block,
-                );
-                costs[(y * width + x) * levels + d] = cost;
-            }
-        }
-    }
-}
-
 /// Disparity-block width of the separable fill: the number of disparity
 /// hypotheses whose horizontal-sum planes are kept resident at once.  Large
 /// enough that the final scatter writes contiguous runs of the `[y][x][d]`
 /// volume, small enough that a block's planes stay cache-resident.
-#[cfg(feature = "parallel")]
 const D_BLOCK: usize = 8;
 
 /// Data-parallel cost filling: the block SAD is separable, so for each
@@ -243,7 +204,6 @@ const D_BLOCK: usize = 8;
 /// three preserve the scalar per-output summation order exactly.  Band
 /// scratch lives in a caller-retained buffer zipped with the output bands, so
 /// steady-state fills allocate nothing.
-#[cfg(feature = "parallel")]
 fn fill_costs_separable(
     left: &Image,
     right: &Image,
@@ -336,6 +296,37 @@ fn fill_costs_separable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asv_image::cost::block_sad;
+
+    /// Reference cost filling: one [`block_sad`] call per `(x, y, d)` cell,
+    /// `O(W·H·D·B²)` with two border clamps per tap; the differential-test
+    /// oracle of [`fill_costs_separable`].
+    fn fill_costs_naive(
+        left: &Image,
+        right: &Image,
+        levels: usize,
+        block: BlockSpec,
+        costs: &mut [f32],
+    ) {
+        let width = left.width();
+        let height = left.height();
+        for y in 0..height {
+            for x in 0..width {
+                for d in 0..levels {
+                    let cost = block_sad(
+                        left,
+                        right,
+                        x as isize,
+                        y as isize,
+                        x as isize - d as isize,
+                        y as isize,
+                        block,
+                    );
+                    costs[(y * width + x) * levels + d] = cost;
+                }
+            }
+        }
+    }
 
     /// Left image with a constant-disparity shift of 4 between the pair.
     fn shifted_pair(width: usize, height: usize, disparity: usize) -> (Image, Image) {
@@ -400,7 +391,6 @@ mod tests {
     /// The separable fill must agree with the per-cell reference on every
     /// shape class: wide/tall images, disparity ranges exceeding the width,
     /// and degenerate zero-radius blocks.
-    #[cfg(feature = "parallel")]
     #[test]
     fn separable_fill_matches_naive_reference() {
         for (w, h, max_d, r) in [(13, 7, 4, 1), (32, 16, 8, 2), (9, 11, 12, 3), (6, 4, 3, 0)] {

@@ -1,6 +1,7 @@
 //! Disparity maps and stereo accuracy metrics.
 
 use asv_image::Image;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -270,10 +271,10 @@ impl DisparityMap {
     /// Fills invalid pixels from the nearest valid pixel to the left, then to
     /// the right (the classic background-fill used after left-right checks).
     ///
-    /// One walk per row over the raw values (rows in parallel with the
-    /// `parallel` feature): a row's leading invalid run takes its first
-    /// valid value, every later invalid pixel the last valid value before
-    /// it, and a row without a valid pixel stays as it is.
+    /// One walk per row over the raw values (rows in parallel on the rayon
+    /// pool): a row's leading invalid run takes its first valid value, every
+    /// later invalid pixel the last valid value before it, and a row without
+    /// a valid pixel stays as it is.
     pub fn fill_invalid_horizontally(&mut self) {
         let width = self.width();
         if width == 0 {
@@ -294,13 +295,7 @@ impl DisparityMap {
             }
         };
         let values = self.values.as_mut_slice();
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            values.par_chunks_mut(width).for_each(fill_row);
-        }
-        #[cfg(not(feature = "parallel"))]
-        values.chunks_mut(width).for_each(fill_row);
+        values.par_chunks_mut(width).for_each(fill_row);
     }
 }
 

@@ -16,6 +16,7 @@ use asv_image::cost::BlockSpec;
 use asv_image::{round_index, Image};
 use asv_mem::BufferPool;
 use asv_trace::{KernelTimings, Stage};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -241,36 +242,29 @@ fn aggregate_direction_into(
 /// volume summed over all directions (the buffer is checked out of `pool`;
 /// the caller returns it with [`BufferPool::put`] when done).
 ///
-/// The four directional passes are independent; with the `parallel` feature
-/// they run concurrently on the rayon pool and are reduced in direction
-/// order, so the summation order matches the sequential build.
+/// The four directional passes are independent; they run concurrently on
+/// the rayon pool and are reduced in direction order, so the summation order
+/// does not depend on the schedule.
 fn aggregate_all_pooled(volume: &CostVolume, p1: f32, p2: f32, pool: &mut BufferPool) -> Vec<f32> {
     let cells = volume.num_cells();
     let mut total = pool.take_zeroed(cells);
     let mut dirs: [Vec<f32>; 4] = std::array::from_fn(|_| pool.take_scratch(cells));
 
-    #[cfg(feature = "parallel")]
-    {
-        let [d0, d1, d2, d3] = &mut dirs;
-        rayon::join(
-            || {
-                rayon::join(
-                    || aggregate_direction_into(volume, DIRECTIONS[0], p1, p2, d0),
-                    || aggregate_direction_into(volume, DIRECTIONS[1], p1, p2, d1),
-                )
-            },
-            || {
-                rayon::join(
-                    || aggregate_direction_into(volume, DIRECTIONS[2], p1, p2, d2),
-                    || aggregate_direction_into(volume, DIRECTIONS[3], p1, p2, d3),
-                )
-            },
-        );
-    }
-    #[cfg(not(feature = "parallel"))]
-    for (agg, &dir) in dirs.iter_mut().zip(&DIRECTIONS) {
-        aggregate_direction_into(volume, dir, p1, p2, agg);
-    }
+    let [d0, d1, d2, d3] = &mut dirs;
+    rayon::join(
+        || {
+            rayon::join(
+                || aggregate_direction_into(volume, DIRECTIONS[0], p1, p2, d0),
+                || aggregate_direction_into(volume, DIRECTIONS[1], p1, p2, d1),
+            )
+        },
+        || {
+            rayon::join(
+                || aggregate_direction_into(volume, DIRECTIONS[2], p1, p2, d2),
+                || aggregate_direction_into(volume, DIRECTIONS[3], p1, p2, d3),
+            )
+        },
+    );
 
     for agg in dirs {
         for (t, a) in total.iter_mut().zip(&agg) {
@@ -632,8 +626,7 @@ fn sad_pass(
 /// left-reference volume of the mirrored pair is the right view's volume
 /// mirrored; the four-path total and its first-minimum winner do not change
 /// under mirroring, so the right view's map is that pair's map mirrored, bit
-/// for bit.  The two views' passes run concurrently (with the `parallel`
-/// feature).
+/// for bit.  The two views' passes run concurrently on the rayon pool.
 #[allow(clippy::too_many_arguments)]
 fn census_match(
     census_l: &mut CensusDescriptors,
@@ -686,16 +679,10 @@ fn census_match(
     let subpixel = params.subpixel;
     let aggregate_started = Instant::now();
     if check {
-        #[cfg(feature = "parallel")]
         rayon::join(
             || census_pass(pass_l, p1, p2, subpixel, level, out),
             || census_pass(pass_r, p1, p2, subpixel, level, map_r),
         );
-        #[cfg(not(feature = "parallel"))]
-        {
-            census_pass(pass_l, p1, p2, subpixel, level, out);
-            census_pass(pass_r, p1, p2, subpixel, level, map_r);
-        }
     } else {
         census_pass(pass_l, p1, p2, subpixel, level, out);
     }
@@ -713,10 +700,10 @@ fn census_match(
 
 /// Invalidates each valid pixel of the left view's map `out` whose match in
 /// the right view is invalid there or disagrees by more than `threshold`,
-/// one row per task (row-parallel with the `parallel` feature).  `map_r` is
-/// the right view's map in its own coordinates.  Left pixel `x` of
-/// disparity `d` matches right pixel `x - d`: column `mx` of the mirrored
-/// right view, rounded to the nearest, and so column `width - 1 - mx`.
+/// one row per task on the rayon pool.  `map_r` is the right view's map in
+/// its own coordinates.  Left pixel `x` of disparity `d` matches right pixel
+/// `x - d`: column `mx` of the mirrored right view, rounded to the nearest,
+/// and so column `width - 1 - mx`.
 fn left_right_check(out: &mut DisparityMap, map_r: &DisparityMap, threshold: f32) {
     let width = out.width();
     if width == 0 {
@@ -743,13 +730,7 @@ fn left_right_check(out: &mut DisparityMap, map_r: &DisparityMap, threshold: f32
         }
     };
     let values = out.as_image_mut().as_mut_slice();
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        values.par_chunks_mut(width).enumerate().for_each(check_row);
-    }
-    #[cfg(not(feature = "parallel"))]
-    values.chunks_mut(width).enumerate().for_each(check_row);
+    values.par_chunks_mut(width).enumerate().for_each(check_row);
 }
 
 /// Semi-global stereo matching of a rectified pair.

@@ -9,6 +9,7 @@ use crate::error::TensorError;
 use crate::shape::{Shape4, Shape5};
 use crate::tensor::{Tensor4, Tensor5};
 use crate::Result;
+use rayon::prelude::*;
 
 /// Parameters of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,39 +73,21 @@ pub fn deconv_out_dim(input: usize, kernel: usize, stride: usize, padding: usize
 }
 
 /// Runs `fill(n, oc, plane)` over every `(batch, output-channel)` plane of a
-/// contiguous NCHW-style buffer. Planes are disjoint, so with the `parallel`
-/// feature they are distributed over the rayon pool; the per-plane arithmetic
-/// (and therefore the result) is identical in both drivers.
-#[cfg(feature = "parallel")]
+/// contiguous NCHW-style buffer. Planes are disjoint, so they are distributed
+/// over the rayon pool; each plane's arithmetic does not depend on the
+/// schedule.
 pub(crate) fn drive_planes(
     data: &mut [f32],
     plane_len: usize,
     planes_per_batch: usize,
     fill: &(impl Fn(usize, usize, &mut [f32]) + Sync),
 ) {
-    use rayon::prelude::*;
     if plane_len == 0 || data.is_empty() {
         return;
     }
     data.par_chunks_mut(plane_len)
         .enumerate()
         .for_each(|(p, plane)| fill(p / planes_per_batch, p % planes_per_batch, plane));
-}
-
-/// Sequential fallback of the plane driver.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn drive_planes(
-    data: &mut [f32],
-    plane_len: usize,
-    planes_per_batch: usize,
-    fill: &(impl Fn(usize, usize, &mut [f32]) + Sync),
-) {
-    if plane_len == 0 || data.is_empty() {
-        return;
-    }
-    for (p, plane) in data.chunks_mut(plane_len).enumerate() {
-        fill(p / planes_per_batch, p % planes_per_batch, plane);
-    }
 }
 
 /// Dense 2-D convolution of `input` (`N×Ci×H×W`) with `kernel`

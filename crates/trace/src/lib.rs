@@ -591,9 +591,9 @@ impl Default for Tracer {
 /// ([`Tracer::harvest`]).
 ///
 /// Recording is mode-agnostic (two `Instant::now()` calls per kernel,
-/// noise against millisecond-scale kernels) and works on any thread — in
-/// the parallel build the rayon shim may run a closure on a persistent
-/// pool worker, where thread-local storage would silently lose spans.
+/// noise against millisecond-scale kernels) and works on any thread — the
+/// rayon shim may run a closure on a persistent pool worker, where
+/// thread-local storage would silently lose spans.
 /// The buffer is sized once on first use and then reused; entries past
 /// [`MAX_KERNEL_TIMINGS`] are dropped.
 #[derive(Debug, Clone, Default)]

@@ -4,8 +4,8 @@
 //! the small parallel-iterator surface the workspace's kernels use. Earlier
 //! revisions spawned scoped `std` threads per call, which made every parallel
 //! region allocate (thread stacks, chunk vectors) and broke the workspace's
-//! zero-allocation steady-state guarantee in the `parallel` build. This
-//! revision keeps a **persistent worker pool**:
+//! zero-allocation steady-state guarantee. This revision keeps a
+//! **persistent worker pool**:
 //!
 //! * `available_parallelism() - 1` detached workers are spawned once, on the
 //!   first parallel call, and then live for the process lifetime.
@@ -18,8 +18,9 @@
 //! * Publishing, claiming and completion are all lock-free atomics plus one
 //!   futex-backed `Mutex`/`Condvar` pair to park idle workers — **no heap
 //!   allocation per parallel region**, which is what lets the allocation
-//!   regression test assert exactly zero steady-state allocations with the
-//!   `parallel` feature enabled.
+//!   regression test assert exactly zero steady-state allocations.
+//! * On a one-core host the pool has no workers: every region runs inline
+//!   on the calling thread.
 //!
 //! `par_chunks_mut` hands out disjoint sub-slices computed from a claimed
 //! chunk index (no eager `Vec<&mut [T]>`), and gains a rayon-compatible
