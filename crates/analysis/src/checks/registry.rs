@@ -1,12 +1,11 @@
-//! `ASV-R001`..`ASV-R007`: registry consistency between code, README, the
-//! golden scrape test, and the knob registry module.
+//! `ASV-R001`..`ASV-R006`: registry consistency between code, README and
+//! the golden scrape test.
 //!
 //! Three registries drift silently in a growing system: the `ASV_*`
 //! environment knobs, the `asv_*` Prometheus metric families, and the
 //! wire-protocol constants.  Each has a single documented home (README's
 //! "Environment knobs" table, README's observability table + the golden
-//! scrape test, README's distribution section) and — for knobs — a single
-//! in-code home (`crates/runtime/src/knobs.rs`).  This pass cross-checks
+//! scrape test, README's distribution section).  This pass cross-checks
 //! all of them in both directions.
 
 use crate::model;
@@ -70,7 +69,7 @@ fn test_line_ranges(ws: &Workspace, fi: usize) -> Vec<(usize, usize)> {
 pub fn run(ws: &Workspace, config: &AnalyzerConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // ---- Environment knobs (R001 / R002 / R007) ----
+    // ---- Environment knobs (R001 / R002) ----
     // Knob name -> first read site in production/bin sources.
     let mut code_knobs: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     for (fi, sf) in ws.files.iter().enumerate() {
@@ -87,15 +86,6 @@ pub fn run(ws: &Workspace, config: &AnalyzerConfig) -> Vec<Finding> {
             }
         }
     }
-    let knobs_file = ws.file_by_suffix(config.knobs_file);
-    let registry_knobs: Vec<String> = knobs_file.map_or_else(Vec::new, |fi| {
-        ws.files[fi]
-            .strings
-            .iter()
-            .filter(|s| is_knob_name(&s.value))
-            .map(|s| s.value.clone())
-            .collect()
-    });
 
     if let Some(readme) = &ws.readme {
         // Knob names in README table rows, with their line numbers.
@@ -130,22 +120,6 @@ pub fn run(ws: &Workspace, config: &AnalyzerConfig) -> Vec<Finding> {
                     file: config.readme.to_owned(),
                     line,
                     message: format!("README documents env knob `{knob}` but no code reads it"),
-                });
-            }
-        }
-    }
-    if let Some(kf) = knobs_file {
-        for (knob, &(fi, line)) in &code_knobs {
-            if fi != kf && !registry_knobs.contains(knob) {
-                findings.push(Finding {
-                    code: "ASV-R007",
-                    file: ws.files[fi].rel.clone(),
-                    line,
-                    message: format!(
-                        "env knob `{knob}` is read outside the knob registry \
-                         (`{}`) and is not listed there",
-                        config.knobs_file
-                    ),
                 });
             }
         }

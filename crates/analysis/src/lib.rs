@@ -21,7 +21,6 @@
 //! | `ASV-L001` | cycle in the inter-lock acquisition-order graph | `// lint: lock-ok(<reason>)` |
 //! | `ASV-R001` | `ASV_*` env knob read in code but missing from README's knob table | document it |
 //! | `ASV-R002` | README documents an `ASV_*` knob no code reads | delete the row |
-//! | `ASV-R007` | `ASV_*` env knob read outside the `knobs` registry module and not listed in it | register it |
 //! | `ASV-R003` | Prometheus family rendered by `export.rs` but absent from README | document it |
 //! | `ASV-R004` | README documents an `asv_*` family `export.rs` never renders | delete the row |
 //! | `ASV-R005` | Prometheus family not locked by the golden scrape test | extend the golden test |
@@ -96,8 +95,6 @@ pub struct AnalyzerConfig {
     pub golden_scrape_file: &'static str,
     /// The wire-format module whose constants README must document.
     pub wire_file: &'static str,
-    /// The env-knob registry module (single in-code source of truth).
-    pub knobs_file: &'static str,
 }
 
 impl Default for AnalyzerConfig {
@@ -146,7 +143,6 @@ impl Default for AnalyzerConfig {
             export_file: "crates/runtime/src/export.rs",
             golden_scrape_file: "crates/runtime/tests/prometheus.rs",
             wire_file: "crates/runtime/src/wire.rs",
-            knobs_file: "crates/runtime/src/knobs.rs",
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Reads one registered and one rogue knob.
+//! Reads one documented and one rogue knob.
 
 pub fn window() -> usize {
     std::env::var("ASV_GOOD")

@@ -79,7 +79,6 @@ fn registry_fixture() {
         export_file: "app/src/export.rs",
         golden_scrape_file: "app/tests/prometheus.rs",
         wire_file: "app/src/wire.rs",
-        knobs_file: "app/src/knobs.rs",
     };
     let findings = analyze(&fixture("registry"), &config).expect("fixture loads");
     assert_eq!(
@@ -88,7 +87,6 @@ fn registry_fixture() {
             ("ASV-R002", "README.md", 8),
             ("ASV-R004", "README.md", 15),
             ("ASV-R001", "app/src/config.rs", 11),
-            ("ASV-R007", "app/src/config.rs", 11),
             ("ASV-R003", "app/src/export.rs", 6),
             ("ASV-R005", "app/src/export.rs", 7),
             ("ASV-R006", "app/src/wire.rs", 6),
@@ -96,8 +94,9 @@ fn registry_fixture() {
         "findings: {findings:#?}"
     );
     assert!(findings[0].message.contains("ASV_GHOST"));
-    assert!(findings[4].message.contains("asv_hidden_total"));
-    assert!(findings[6].message.contains("MAX_KEY_BYTES"));
+    assert!(findings[2].message.contains("ASV_ROGUE"));
+    assert!(findings[3].message.contains("asv_hidden_total"));
+    assert!(findings[5].message.contains("MAX_KEY_BYTES"));
 }
 
 /// The committed tree must be clean: every unsafe construct documented,

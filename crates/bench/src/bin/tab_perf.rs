@@ -11,12 +11,14 @@
 //! the small CI smoke preset.  The JSON lands in `BENCH_streaming.json`
 //! unless `--out` overrides it.
 //!
-//! `--gate` turns the run into a CI regression gate: the first run on a
-//! machine records a per-machine fps baseline (under `target/` by default,
-//! overridable with `--gate-file`) and passes; later runs exit non-zero when
-//! any tracked path drops more than 10% below its recorded fps.
+//! `--gate` turns the run into a CI regression gate: it measures five
+//! times, and the first gated run on a machine records each tracked path's
+//! median fps as a per-machine baseline (under `target/` by default,
+//! overridable with `--gate-file`) and passes; later runs exit non-zero
+//! when any tracked path's median drops more than 10% below the recorded
+//! one.  The printed table and the JSON are the first measurement's.
 
-use asv_bench::gate::{default_gate_file, run_gate, GateOutcome, DEFAULT_TOLERANCE};
+use asv_bench::gate::{default_gate_file, run_gate, GateOutcome, DEFAULT_TOLERANCE, GATE_RUNS};
 use asv_bench::perf::{steady_state_perf, PerfConfig};
 use asv_mem::alloc_count::CountingAllocator;
 
@@ -81,15 +83,24 @@ fn main() {
     println!("  wrote {out_path}");
     if gate.enabled {
         let gate_file = gate.file.unwrap_or_else(|| default_gate_file(&report));
-        let outcome = run_gate(&report, std::path::Path::new(&gate_file), DEFAULT_TOLERANCE)
-            .expect("read/write gate baseline");
+        let mut reports = vec![report];
+        reports.extend((1..GATE_RUNS).map(|_| steady_state_perf(&cfg)));
+        let outcome = run_gate(
+            &reports,
+            std::path::Path::new(&gate_file),
+            DEFAULT_TOLERANCE,
+        )
+        .expect("read/write gate baseline");
         match outcome {
             GateOutcome::BaselineWritten => {
                 println!("  gate: no baseline on this machine, wrote {gate_file}");
             }
             GateOutcome::Passed(entries) => {
                 for (key, base, fps) in entries {
-                    println!("  gate: {key} {fps:.3} fps vs recorded {base:.3} fps — ok");
+                    println!(
+                        "  gate: {key} median {fps:.3} fps of {GATE_RUNS} runs vs recorded \
+                         {base:.3} fps — ok"
+                    );
                 }
             }
             GateOutcome::Failed(failures) => {

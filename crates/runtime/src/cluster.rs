@@ -15,12 +15,11 @@
 //! # Placement
 //!
 //! Sessions are placed by consistent hashing of their routing key over a
-//! ring of virtual nodes ([`ClusterConfig::replicas`] per shard), so the
-//! same key always lands on the same shard and adding shards moves only
-//! `~1/N` of the keys.  The ring walk skips failed shards, so a key moves
-//! deterministically when its shard dies, and placement falls back to the
-//! least-loaded surviving shard when the hashed shard is saturated (every
-//! inbox full).
+//! ring of virtual nodes (16 per shard), so the same key always lands on
+//! the same shard and adding shards moves only `~1/N` of the keys.  The
+//! ring walk skips failed shards, so a key moves deterministically when its
+//! shard dies, and placement falls back to the least-loaded surviving shard
+//! when the hashed shard is saturated (every inbox full).
 //!
 //! # Determinism
 //!
@@ -44,6 +43,10 @@ use asv::AsvError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Virtual nodes per shard on the consistent-hash ring; more smooth the key
+/// distribution.
+const REPLICAS: usize = 16;
+
 /// Tuning knobs of the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -51,19 +54,14 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Configuration every shard's scheduler is built with.
     pub shard: SchedulerConfig,
-    /// Virtual nodes per shard on the consistent-hash ring (clamped to at
-    /// least 1).  More replicas smooth the key distribution.
-    pub replicas: usize,
 }
 
 impl ClusterConfig {
-    /// A cluster of `shards` shards with per-core schedulers and 16 virtual
-    /// nodes per shard.
+    /// A cluster of `shards` shards with per-core schedulers.
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
             shard: SchedulerConfig::per_core(),
-            replicas: 16,
         }
     }
 
@@ -71,12 +69,6 @@ impl ClusterConfig {
     /// configuration.
     pub fn with_shard_config(mut self, shard: SchedulerConfig) -> Self {
         self.shard = shard;
-        self
-    }
-
-    /// Returns the configuration with a different virtual-node count.
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
         self
     }
 }
@@ -197,13 +189,12 @@ impl Cluster {
     /// its own worker pool, plus the consistent-hash ring.
     pub fn new(config: ClusterConfig) -> Self {
         let shard_count = config.shards.max(1);
-        let replicas = config.replicas.max(1);
         let shards: Vec<Scheduler> = (0..shard_count)
             .map(|_| Scheduler::new(config.shard))
             .collect();
-        let mut ring = Vec::with_capacity(shard_count * replicas);
+        let mut ring = Vec::with_capacity(shard_count * REPLICAS);
         for shard in 0..shard_count {
-            for replica in 0..replicas {
+            for replica in 0..REPLICAS {
                 ring.push((
                     fnv1a(format!("shard-{shard}/vnode-{replica}").as_bytes()),
                     shard,
@@ -530,5 +521,27 @@ mod tests {
             moved < 512 / 2,
             "expected a minority of keys to move, got {moved}/512"
         );
+    }
+
+    #[test]
+    fn ring_placement_is_pinned() {
+        // Shard of `camera-0` .. `camera-63`, one digit per key: any change
+        // to the hash, the virtual-node names or their count moves these.
+        for (shards, expected) in [
+            (
+                2,
+                "1110111010111001011010101101111110100110101101111101101101111111",
+            ),
+            (
+                4,
+                "1330123320132221013032301101131213303310102301331303103301113232",
+            ),
+        ] {
+            let cluster = ring_only_cluster(shards);
+            let placed: String = (0..64)
+                .map(|i| shard_for_key(&cluster, &format!("camera-{i}")).to_string())
+                .collect();
+            assert_eq!(placed, expected, "{shards}-shard ring");
+        }
     }
 }

@@ -74,7 +74,6 @@
 pub mod cluster;
 pub mod export;
 pub mod http;
-pub mod knobs;
 pub mod net;
 pub mod qos;
 mod queue;
@@ -96,8 +95,7 @@ pub use net::{
     TransportCounters, TransportErrorKind,
 };
 pub use qos::{
-    qos_enabled_from_env, QosAction, QosConfig, QosController, QosKnobs, QosTelemetry,
-    QosTransition, SessionSlo,
+    QosAction, QosConfig, QosController, QosKnobs, QosTelemetry, QosTransition, SessionSlo,
 };
 pub use scheduler::{
     RuntimeReport, Scheduler, SchedulerConfig, SchedulerObserver, SessionHandle, ShedPolicy,

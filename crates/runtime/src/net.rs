@@ -32,11 +32,9 @@
 //! lossless-by-default story as an in-process producer submitting straight
 //! to its session.
 //!
-//! The `ASV_NET_*` environment knobs (see [`ClientConfig::from_env`] and
-//! [`NetConfig::from_env`]) configure deadlines, window, retry budget, the
-//! maximum accepted message size and the tracked-session cap.
+//! [`ClientConfig`] and [`NetConfig`] set deadlines, window, retry budget,
+//! the maximum accepted message size and the tracked-session cap.
 
-use crate::knobs;
 use crate::wire;
 use asv::error::WireFault;
 use asv::AsvError;
@@ -238,9 +236,10 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 ///   acknowledged-but-lost.
 ///
 /// The gate tracks at most `max_sessions` sessions; beyond the cap the
-/// least-recently-active *idle* session is evicted, so hostile or churny
-/// key sets cannot grow server memory without bound.  An evicted session's
-/// next frame is refused as an explicit gap, never silently misdelivered.
+/// least-recently-active *idle* session is evicted, which bounds the gate's
+/// own sequence table (not the sink's per-session state).  An evicted
+/// session's next frame is refused as an explicit gap, never silently
+/// misdelivered.
 #[derive(Debug)]
 pub struct SequenceGate {
     inner: Mutex<GateMap>,
@@ -413,8 +412,7 @@ pub struct NetConfig {
     /// for longer is cut off (the partial frame is discarded).
     pub read_timeout: Duration,
     /// Sessions tracked by the server's [`SequenceGate`] before the
-    /// stalest idle session is evicted — bounds server memory against
-    /// hostile or churny key sets.
+    /// stalest idle session is evicted — bounds the gate's sequence table.
     pub max_sessions: usize,
 }
 
@@ -425,24 +423,6 @@ impl Default for NetConfig {
             read_timeout: Duration::from_secs(2),
             max_sessions: DEFAULT_MAX_SESSIONS,
         }
-    }
-}
-
-impl NetConfig {
-    /// Defaults overridden by `ASV_NET_MAX_FRAME_BYTES`,
-    /// `ASV_NET_READ_TIMEOUT_MS` and `ASV_NET_MAX_SESSIONS`.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Some(bytes) = knobs::parse::<usize>(knobs::NET_MAX_FRAME_BYTES) {
-            config.max_message_bytes = bytes;
-        }
-        if let Some(ms) = knobs::parse::<u64>(knobs::NET_READ_TIMEOUT_MS) {
-            config.read_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(sessions) = knobs::parse::<usize>(knobs::NET_MAX_SESSIONS) {
-            config.max_sessions = sessions.max(1);
-        }
-        config
     }
 }
 
@@ -478,27 +458,6 @@ impl Default for ClientConfig {
             backoff_cap: Duration::from_secs(2),
             jitter_seed: 0x5EED,
         }
-    }
-}
-
-impl ClientConfig {
-    /// Defaults overridden by `ASV_NET_DEADLINE_MS`, `ASV_NET_WINDOW`,
-    /// `ASV_NET_RETRIES` and `ASV_NET_BACKOFF_MS`.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Some(ms) = knobs::parse::<u64>(knobs::NET_DEADLINE_MS) {
-            config.deadline = Duration::from_millis(ms.max(1));
-        }
-        if let Some(window) = knobs::parse::<usize>(knobs::NET_WINDOW) {
-            config.window = window.max(1);
-        }
-        if let Some(retries) = knobs::parse::<u32>(knobs::NET_RETRIES) {
-            config.max_retries = retries;
-        }
-        if let Some(ms) = knobs::parse::<u64>(knobs::NET_BACKOFF_MS) {
-            config.backoff_base = Duration::from_millis(ms.max(1));
-        }
-        config
     }
 }
 

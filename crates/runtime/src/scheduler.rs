@@ -45,7 +45,7 @@
 //! later submits to that session return the error.  Other sessions are
 //! unaffected.
 
-use crate::qos::{qos_enabled_from_env, QosConfig, QosController};
+use crate::qos::{QosConfig, QosController};
 use crate::queue::QueuedFrame;
 use crate::session::{SessionId, SessionReport, StreamSession};
 use crate::telemetry::{AggregateTelemetry, SessionTelemetry};
@@ -78,13 +78,6 @@ pub enum ShedPolicy {
     /// the displaced frame is counted in `frames_shed` and the new frame is
     /// accepted.  Never blocks and never fails on a full inbox.
     DropOldest,
-}
-
-impl ShedPolicy {
-    /// Whether the policy can lose frames (everything but `Block`).
-    pub fn is_lossy(&self) -> bool {
-        !matches!(self, ShedPolicy::Block)
-    }
 }
 
 /// Tuning knobs of the scheduler.
@@ -347,8 +340,8 @@ impl Scheduler {
     /// latency and actuates the stream's ISM knobs (cost metric, propagation
     /// window, adaptive-motion threshold) when the SLO is violated,
     /// recovering with hysteresis when load drops; the state's current knobs
-    /// are the full-quality baseline.  `ASV_QOS=off` disables the controller
-    /// process-wide.  A per-stream cost metric is set on the state itself
+    /// are the full-quality baseline.  A per-stream cost metric is set on
+    /// the state itself
     /// ([`IsmState::set_cost_metric`]) before registering.
     pub fn add_session(
         &self,
@@ -356,9 +349,7 @@ impl Scheduler {
         label: Option<String>,
         qos: Option<QosConfig>,
     ) -> SessionHandle {
-        let controller = qos
-            .filter(|_| qos_enabled_from_env())
-            .map(|config| QosController::for_state(config, &state));
+        let controller = qos.map(|config| QosController::for_state(config, &state));
         let mut engine = self.shared.lock();
         let id = SessionId(engine.sessions.len());
         let mut session =

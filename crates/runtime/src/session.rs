@@ -53,7 +53,7 @@ pub struct StreamSession {
     pub(crate) telemetry: SessionTelemetry,
     pub(crate) error: Option<AsvError>,
     /// The session's adaptive QoS loop, present only when the session was
-    /// registered with an SLO (and QoS is not disabled via `ASV_QOS`).
+    /// registered with an SLO.
     pub(crate) qos: Option<QosController>,
 }
 

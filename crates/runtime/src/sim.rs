@@ -26,7 +26,7 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::net::{self, SequenceGate, TransportCounters};
-use crate::qos::{QosAction, QosConfig, QosController, QosKnobs, SessionSlo};
+use crate::qos::{nearest_rank, QosAction, QosConfig, QosController, QosKnobs, SessionSlo};
 use crate::scheduler::{SchedulerConfig, ShedPolicy};
 use crate::session::SessionReport;
 use crate::supervisor::{MigrationRecord, Supervisor};
@@ -732,14 +732,7 @@ impl OverloadReport {
 
 /// Nearest-rank p95 of the last half of `samples` (arrival order).
 fn last_half_p95(samples: &[u64]) -> u64 {
-    let tail = &samples[samples.len() / 2..];
-    if tail.is_empty() {
-        return 0;
-    }
-    let mut sorted = tail.to_vec();
-    sorted.sort_unstable();
-    let rank = ((0.95 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    nearest_rank(&mut samples[samples.len() / 2..].to_vec(), 0.95)
 }
 
 /// Runs the deadline-vs-overload experiment in virtual time: a

@@ -166,29 +166,25 @@ fn main() {
         .iter()
         .filter(|s| s.name == "asv_qos_level")
         .collect();
-    if asv_system::runtime::qos_enabled_from_env() {
+    assert_eq!(
+        qos_levels.len(),
+        CAMERAS,
+        "every SLO-managed camera exports an asv_qos_level gauge"
+    );
+    for level in &qos_levels {
         assert_eq!(
-            qos_levels.len(),
-            CAMERAS,
-            "every SLO-managed camera exports an asv_qos_level gauge"
+            level.value,
+            0.0,
+            "camera {:?} degraded under a generous SLO",
+            level.label("session")
         );
-        for level in &qos_levels {
-            assert_eq!(
-                level.value,
-                0.0,
-                "camera {:?} degraded under a generous SLO",
-                level.label("session")
-            );
-        }
-        let actuations: f64 = samples
-            .iter()
-            .filter(|s| s.name == "asv_qos_actuations_total")
-            .map(|s| s.value)
-            .sum();
-        assert_eq!(actuations, 0.0, "generous SLO must never actuate");
-    } else {
-        assert!(qos_levels.is_empty(), "ASV_QOS=off exports no level gauges");
     }
+    let actuations: f64 = samples
+        .iter()
+        .filter(|s| s.name == "asv_qos_actuations_total")
+        .map(|s| s.value)
+        .sum();
+    assert_eq!(actuations, 0.0, "generous SLO must never actuate");
     let trace = http_get(addr, "/trace");
     assert!(trace.starts_with("{\"traceEvents\":["), "Chrome trace JSON");
     println!(
@@ -262,8 +258,7 @@ fn main() {
     // 8. Networked transport self-test: stream one camera over a loopback
     //    TCP link — wire-encoded frames, CRC validation, sequence gating,
     //    a supervisor-fronted shard — and verify the session's output is
-    //    byte-identical to the batch pipeline.  The `ASV_NET_*` knobs
-    //    configure both endpoints.
+    //    byte-identical to the batch pipeline.
     let scene = SceneConfig::scene_flow_like(WIDTH, HEIGHT)
         .with_seed(99)
         .with_objects(3);
@@ -283,11 +278,11 @@ fn main() {
         "127.0.0.1:0",
         Arc::clone(&supervisor) as Arc<dyn FrameSink>,
         net_cluster.transport_counters(),
-        NetConfig::from_env(),
+        NetConfig::default(),
     )
     .expect("bind frame server");
     println!("\nframe transport: tcp://{}", frame_server.local_addr());
-    let mut client = FrameClient::connect(frame_server.local_addr(), ClientConfig::from_env())
+    let mut client = FrameClient::connect(frame_server.local_addr(), ClientConfig::default())
         .expect("connect frame client");
     for frame in sequence.frames() {
         client
