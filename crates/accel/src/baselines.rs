@@ -6,7 +6,7 @@
 //! GANNX paper's reported design).  Each model is configured with the *same*
 //! compute, on-chip memory and bandwidth resources as the ASV configuration,
 //! as the paper does for fairness, and differs only in how effectively it can
-//! use them.  DESIGN.md records the substitution rationale.
+//! use them.
 
 use crate::energy::EnergyModel;
 use crate::report::ExecutionReport;

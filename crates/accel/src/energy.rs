@@ -6,8 +6,7 @@
 //! a 16-bit MAC costs a fraction of a picojoule, an SRAM byte a few
 //! picojoules, and a DRAM byte tens of picojoules.  Because every comparison
 //! in the paper is *relative* (speedup, % energy saved), the conclusions
-//! depend on the ratios of these constants, not their absolute calibration;
-//! DESIGN.md discusses this substitution.
+//! depend on the ratios of these constants, not their absolute calibration.
 
 use serde::{Deserialize, Serialize};
 

@@ -354,7 +354,7 @@ pub fn asv_qhd_fps() -> f64 {
     );
     // The non-key-frame part is qHD already; the key-frame inference cost is
     // evaluated at the reduced analysis resolution, making this an optimistic
-    // but consistent operating point (documented in EXPERIMENTS.md).
+    // but consistent operating point.
     let _ = nonkey_frame_report(perf.accelerator(), &NonKeyFrameConfig::qhd());
     report.fps()
 }

@@ -10,8 +10,8 @@
 //! * the workspace integration tests, which smoke-check the experiment
 //!   outputs against the paper's qualitative claims.
 //!
-//! The mapping from paper figure to experiment function is recorded in
-//! DESIGN.md and the measured-vs-paper numbers in EXPERIMENTS.md.
+//! README's "Reproducing the paper's figures" lists the binary of each
+//! paper figure and table; each binary wraps one function of [`figs`].
 
 pub mod algorithms;
 pub mod cluster;

@@ -19,7 +19,7 @@
 //! * [`surrogate`] — a functional key-frame disparity estimator with
 //!   "DNN-like" accuracy built from classic components (SGM + sub-pixel +
 //!   consistency checking), standing in for trained stereo DNNs in the
-//!   accuracy experiments (see DESIGN.md for the substitution argument).
+//!   accuracy experiments (its module docs give the argument).
 //!
 //! # Example
 //!

@@ -10,7 +10,7 @@
 //! the ISM key frames use the *same* surrogate, so the quantity Fig. 9
 //! reports — the accuracy *difference* introduced by propagating
 //! correspondences instead of re-running the expensive estimator — is
-//! preserved (see DESIGN.md, substitution table).
+//! preserved.
 //!
 //! The surrogate also reports which [`NetworkSpec`] it stands in for, so the
 //! performance model can charge key frames the cost of the real DNN.

@@ -6,8 +6,7 @@
 //! exploits: encoder/decoder structure, the heavy use of stride-2
 //! deconvolution in the disparity-refinement stage, 2-D vs 3-D cost-volume
 //! processing, and the relative arithmetic weight of the three stages
-//! (Fig. 3).  Exact channel counts of auxiliary heads are simplified; see
-//! DESIGN.md for the substitution rationale.
+//! (Fig. 3).  Exact channel counts of auxiliary heads are simplified.
 
 use crate::layer::{LayerSpec, Stage};
 use crate::network::NetworkSpec;

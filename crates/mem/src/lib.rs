@@ -19,43 +19,25 @@
 //! `asv::Workspace`); each streaming session owns one workspace, so
 //! concurrent sessions never contend on the global allocator.
 
-/// A size-keyed pool of reusable element buffers.
+/// A size-keyed pool of reusable `f32` plane buffers.
 ///
 /// Buffers are matched by *exact length*: a checkout of `len` elements is
 /// served by a retained buffer of the same length, or freshly allocated on a
-/// miss.  Returned buffers are retained up to [`Pool::capacity_limit`]
-/// per distinct length, so a pool that momentarily handles an unusual frame
-/// size cannot grow without bound.
-///
-/// The element type is generic so every layer pools the representation its
-/// kernels actually use: `f32` planes for the SAD/flow path
-/// ([`BufferPool`]), `u32`/`u64` census descriptors, `u8` Hamming costs and
-/// `u16` integer-SGM aggregation rows ([`U32Pool`], [`U8Pool`],
-/// [`U16Pool`], [`U64Pool`]).
+/// miss.  Returned buffers are retained up to
+/// [`BufferPool::capacity_limit`] per distinct length, so a pool that
+/// momentarily handles an unusual frame size cannot grow without bound.
 #[derive(Debug)]
-pub struct Pool<T> {
-    free: Vec<Vec<T>>,
+pub struct BufferPool {
+    free: Vec<Vec<f32>>,
     capacity_limit: usize,
     hits: u64,
     misses: u64,
 }
 
-/// Pool of `f32` plane buffers (the original pool type of the workspace
-/// layer).
-pub type BufferPool = Pool<f32>;
-/// Pool of `u8` buffers (census Hamming-cost volumes).
-pub type U8Pool = Pool<u8>;
-/// Pool of `u16` buffers (integer SGM aggregation planes).
-pub type U16Pool = Pool<u16>;
-/// Pool of `u32` buffers (5×5 census descriptors).
-pub type U32Pool = Pool<u32>;
-/// Pool of `u64` buffers (7×7 / 9×7 census descriptors).
-pub type U64Pool = Pool<u64>;
-
 /// Default number of buffers retained per distinct length.
 pub const DEFAULT_CAPACITY_LIMIT: usize = 8;
 
-impl<T: Copy + Default> Pool<T> {
+impl BufferPool {
     /// Creates an empty pool (no heap allocation happens until the first
     /// checkout misses).
     pub fn new() -> Self {
@@ -81,27 +63,26 @@ impl<T: Copy + Default> Pool<T> {
     /// Checks out a buffer of exactly `len` elements with *unspecified*
     /// contents (stale data from a previous user on a pool hit, zeros on a
     /// miss).  Use when the caller overwrites every element.
-    pub fn take_scratch(&mut self, len: usize) -> Vec<T> {
+    pub fn take_scratch(&mut self, len: usize) -> Vec<f32> {
         if let Some(pos) = self.free.iter().position(|b| b.len() == len) {
             self.hits += 1;
             self.free.swap_remove(pos)
         } else {
             self.misses += 1;
-            vec![T::default(); len] // lint: alloc-ok(pool miss, amortized)
+            vec![0.0; len] // lint: alloc-ok(pool miss, amortized)
         }
     }
 
-    /// Checks out a buffer of exactly `len` elements filled with the element
-    /// default (`0.0` / `0`).
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<T> {
+    /// Checks out a buffer of exactly `len` elements filled with `0.0`.
+    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
         let mut buf = self.take_scratch(len);
-        buf.fill(T::default());
+        buf.fill(0.0);
         buf
     }
 
     /// Returns a buffer to the pool.  Buffers beyond the per-length
     /// retention limit (and zero-length buffers) are dropped.
-    pub fn put(&mut self, buf: Vec<T>) {
+    pub fn put(&mut self, buf: Vec<f32>) {
         if buf.is_empty() {
             return;
         }
@@ -120,7 +101,7 @@ impl<T: Copy + Default> Pool<T> {
     pub fn retained_bytes(&self) -> usize {
         self.free
             .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<T>())
+            .map(|b| b.capacity() * std::mem::size_of::<f32>())
             .sum()
     }
 
@@ -142,7 +123,7 @@ impl<T: Copy + Default> Pool<T> {
     }
 }
 
-impl<T: Copy + Default> Default for Pool<T> {
+impl Default for BufferPool {
     fn default() -> Self {
         Self::new()
     }

@@ -18,8 +18,8 @@
 //! Each SLO-managed session owns one [`QosController`].  Every completed
 //! frame feeds its end-to-end step latency (queue wait + service time) into
 //! the controller's sliding window; the controller compares the windowed
-//! p95 (and optionally the windowed throughput) against the session's
-//! [`SessionSlo`] and walks a fixed degradation ladder:
+//! p95 against the session's [`SessionSlo`] and walks a fixed degradation
+//! ladder:
 //!
 //! | level | actuation (cumulative)                                         |
 //! |-------|----------------------------------------------------------------|
@@ -36,11 +36,11 @@
 //! cooldown (the observation window refills before the next decision) is
 //! what keeps the loop from oscillating.
 //!
-//! The controller is a pure state machine over `(completed_at_us, step_us)`
-//! observations — no clocks, no threads — so the same code runs under the
-//! real scheduler (fed from `Instant` measurements) and under the
-//! deterministic virtual-time overload simulation in [`crate::sim`], which
-//! is how CI proves the closed loop works.
+//! The controller is a pure state machine over step-latency observations —
+//! no clocks, no threads — so the same code runs under the real scheduler
+//! (fed from `Instant` measurements) and under the deterministic
+//! virtual-time overload simulation in [`crate::sim`], which is how CI
+//! proves the closed loop works.
 
 use asv::ism::{IsmState, KeyFramePolicy};
 use asv::CostMetric;
@@ -48,32 +48,22 @@ use asv::CostMetric;
 /// Highest degradation level of the ladder.
 pub const MAX_QOS_LEVEL: u8 = 3;
 
-/// The service-level objective of one session.  At least one target should
-/// be set; a session violating *any* set target counts as an SLO violation.
+/// Minimum frames between two actuations, on top of the window refill (the
+/// observation window is cleared on every actuation).
+const COOLDOWN_FRAMES: u32 = 8;
+
+/// The service-level objective of one session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSlo {
     /// Target 95th-percentile end-to-end step latency (submit → finished
     /// disparity map) in microseconds, over the controller's sliding window.
     pub target_p95_step_us: u64,
-    /// Optional minimum sustained throughput in frames per second, measured
-    /// over the controller's sliding window (only evaluated once the window
-    /// is full, so a stream that just started is not penalized).
-    pub min_fps: Option<f64>,
 }
 
 impl SessionSlo {
-    /// An SLO with only a p95 step-latency target.
+    /// An SLO with a p95 step-latency target.
     pub fn p95_step_us(target_p95_step_us: u64) -> Self {
-        Self {
-            target_p95_step_us,
-            min_fps: None,
-        }
-    }
-
-    /// Returns the SLO with a minimum-throughput target added.
-    pub fn with_min_fps(mut self, min_fps: f64) -> Self {
-        self.min_fps = Some(min_fps);
-        self
+        Self { target_p95_step_us }
     }
 }
 
@@ -82,7 +72,7 @@ impl SessionSlo {
 pub struct QosConfig {
     /// The objective the controller defends.
     pub slo: SessionSlo,
-    /// Sliding-window size in frames over which p95 / fps are computed
+    /// Sliding-window size in frames over which the p95 is computed
     /// (clamped to at least 4).
     pub window: usize,
     /// Consecutive violating evaluations before the controller degrades one
@@ -92,22 +82,16 @@ pub struct QosConfig {
     /// probes one level back toward full quality (large = probe rarely).
     pub recover_after: u32,
     /// "Comfortably healthy" means windowed p95 ≤ `recover_margin` × the
-    /// p95 target (and the fps target, when set, is met).  Samples between
-    /// the margin and the target are the hysteresis dead band: they reset
-    /// both streaks and hold the current level.
+    /// p95 target.  Samples between the margin and the target are the
+    /// hysteresis dead band: they reset both streaks and hold the current
+    /// level.
     pub recover_margin: f64,
-    /// Minimum frames between two actuations, on top of the window refill
-    /// (the observation window is cleared on every actuation).
-    pub cooldown_frames: u32,
-    /// Deepest ladder level the controller may reach (clamped to
-    /// [`MAX_QOS_LEVEL`]).
-    pub max_level: u8,
 }
 
 impl QosConfig {
     /// A controller defending `slo` with the default loop dynamics:
     /// 16-frame window, degrade after 2 violations, probe recovery after 32
-    /// comfortable evaluations at 70% of the target, full ladder depth.
+    /// comfortable evaluations at 70% of the target.
     pub fn new(slo: SessionSlo) -> Self {
         Self {
             slo,
@@ -115,8 +99,6 @@ impl QosConfig {
             degrade_after: 2,
             recover_after: 32,
             recover_margin: 0.7,
-            cooldown_frames: 8,
-            max_level: MAX_QOS_LEVEL,
         }
     }
 
@@ -137,12 +119,6 @@ impl QosConfig {
     /// Returns the configuration with a different recovery margin.
     pub fn with_recover_margin(mut self, recover_margin: f64) -> Self {
         self.recover_margin = recover_margin;
-        self
-    }
-
-    /// Returns the configuration with a different maximum ladder level.
-    pub fn with_max_level(mut self, max_level: u8) -> Self {
-        self.max_level = max_level;
         self
     }
 }
@@ -305,15 +281,6 @@ pub enum QosTransition {
     },
 }
 
-/// One observed frame completion in the sliding window.
-#[derive(Debug, Clone, Copy)]
-struct StepSample {
-    /// Completion time on the caller's monotonic µs clock.
-    completed_us: u64,
-    /// End-to-end step latency (queue wait + service) in µs.
-    step_us: u64,
-}
-
 /// The per-session QoS control loop: a pure state machine from step-latency
 /// observations to knob-ladder transitions.  See the module documentation
 /// for the control model.
@@ -322,8 +289,8 @@ pub struct QosController {
     config: QosConfig,
     baseline: QosKnobs,
     level: u8,
-    /// Sliding window of recent completions (ring buffer).
-    samples: Vec<StepSample>,
+    /// Sliding window of recent step latencies in µs (ring buffer).
+    samples: Vec<u64>,
     /// Next ring slot to overwrite once the window is full.
     next_slot: usize,
     violation_streak: u32,
@@ -363,16 +330,6 @@ impl QosController {
         Self::new(config, QosKnobs::from_state(state))
     }
 
-    /// The controller's loop configuration.
-    pub fn config(&self) -> &QosConfig {
-        &self.config
-    }
-
-    /// The snapshotted full-quality knobs.
-    pub fn baseline(&self) -> QosKnobs {
-        self.baseline
-    }
-
     /// Current degradation level (0 = full quality).
     pub fn level(&self) -> u8 {
         self.level
@@ -388,33 +345,6 @@ impl QosController {
         self.telemetry
     }
 
-    /// Windowed 95th-percentile step latency, or `None` while the window
-    /// holds fewer samples than the evaluation threshold.
-    pub fn windowed_p95_us(&self) -> Option<u64> {
-        if self.samples.len() < self.min_samples() {
-            return None;
-        }
-        Some(quantile_of(
-            &mut self.sorted_scratch.clone(),
-            &self.samples,
-            0.95,
-        ))
-    }
-
-    /// Windowed throughput in frames per second, or `None` until the window
-    /// is full (or while it spans no time).
-    pub fn windowed_fps(&self) -> Option<f64> {
-        if self.samples.len() < self.config.window {
-            return None;
-        }
-        let oldest = self.samples.iter().map(|s| s.completed_us).min()?;
-        let newest = self.samples.iter().map(|s| s.completed_us).max()?;
-        if newest <= oldest {
-            return None;
-        }
-        Some((self.samples.len() as f64 - 1.0) / ((newest - oldest) as f64 / 1e6))
-    }
-
     /// Evaluations need at least half a window of fresh samples; this also
     /// implements the post-actuation cooldown, because every actuation
     /// clears the window.
@@ -422,19 +352,14 @@ impl QosController {
         (self.config.window / 2).max(2)
     }
 
-    /// Feeds one completed frame (`completed_us` on any monotonic µs clock,
-    /// `step_us` = queue wait + service time) and runs one evaluation.
-    /// Returns the ladder transition the caller must apply to the session's
-    /// [`IsmState`], if any.
-    pub fn observe_step(&mut self, completed_us: u64, step_us: u64) -> Option<QosTransition> {
-        let sample = StepSample {
-            completed_us,
-            step_us,
-        };
+    /// Feeds one completed frame's step latency (`step_us` = queue wait +
+    /// service time) and runs one evaluation.  Returns the ladder transition
+    /// the caller must apply to the session's [`IsmState`], if any.
+    pub fn observe_step(&mut self, step_us: u64) -> Option<QosTransition> {
         if self.samples.len() < self.config.window {
-            self.samples.push(sample);
+            self.samples.push(step_us);
         } else {
-            self.samples[self.next_slot] = sample;
+            self.samples[self.next_slot] = step_us;
             self.next_slot = (self.next_slot + 1) % self.config.window;
         }
         self.frames_since_actuation = self.frames_since_actuation.saturating_add(1);
@@ -443,10 +368,8 @@ impl QosController {
         }
 
         let p95 = quantile_of(&mut self.sorted_scratch, &self.samples, 0.95);
-        let fps = self.windowed_fps();
         let slo = self.config.slo;
-        let fps_violated = matches!((slo.min_fps, fps), (Some(min), Some(got)) if got < min);
-        let violated = p95 > slo.target_p95_step_us || fps_violated;
+        let violated = p95 > slo.target_p95_step_us;
         // "Comfortably healthy" applies the recovery margin to the latency
         // target; the dead band between margin and target holds the level.
         let margin_target = (slo.target_p95_step_us as f64 * self.config.recover_margin) as u64;
@@ -464,10 +387,9 @@ impl QosController {
             self.healthy_streak = 0;
         }
 
-        let cooled = self.frames_since_actuation >= self.config.cooldown_frames;
-        let max_level = self.config.max_level.min(MAX_QOS_LEVEL);
+        let cooled = self.frames_since_actuation >= COOLDOWN_FRAMES;
         if violated && self.violation_streak >= self.config.degrade_after {
-            if self.level < max_level && cooled {
+            if self.level < MAX_QOS_LEVEL && cooled {
                 self.level += 1;
                 let action = QosAction::for_degrade_to(self.level);
                 self.actuated(action);
@@ -507,9 +429,9 @@ impl QosController {
 
 /// The `q`-quantile of the window's step latencies, on a copy kept in
 /// `scratch`.
-fn quantile_of(scratch: &mut Vec<u64>, samples: &[StepSample], q: f64) -> u64 {
+fn quantile_of(scratch: &mut Vec<u64>, samples: &[u64], q: f64) -> u64 {
     scratch.clear();
-    scratch.extend(samples.iter().map(|s| s.step_us));
+    scratch.extend_from_slice(samples);
     nearest_rank(scratch, q)
 }
 
@@ -544,24 +466,15 @@ mod tests {
             .with_streaks(2, 6)
     }
 
-    /// Feeds `n` frames of constant latency at a fixed cadence, returning
-    /// every transition.
-    fn feed(c: &mut QosController, clock: &mut u64, n: usize, step_us: u64) -> Vec<QosTransition> {
-        let mut transitions = Vec::new();
-        for _ in 0..n {
-            *clock += 5_000;
-            if let Some(t) = c.observe_step(*clock, step_us) {
-                transitions.push(t);
-            }
-        }
-        transitions
+    /// Feeds `n` frames of constant latency, returning every transition.
+    fn feed(c: &mut QosController, n: usize, step_us: u64) -> Vec<QosTransition> {
+        (0..n).filter_map(|_| c.observe_step(step_us)).collect()
     }
 
     #[test]
     fn healthy_stream_never_actuates() {
         let mut c = QosController::new(config(), baseline());
-        let mut clock = 0;
-        let transitions = feed(&mut c, &mut clock, 200, 2_000);
+        let transitions = feed(&mut c, 200, 2_000);
         assert!(transitions.is_empty());
         assert_eq!(c.level(), 0);
         assert_eq!(c.telemetry().slo_violations, 0);
@@ -575,8 +488,7 @@ mod tests {
         // motion, in that order, one level per (min_samples + degrade_after)
         // evaluations.
         let mut c = QosController::new(config(), baseline());
-        let mut clock = 0;
-        let transitions = feed(&mut c, &mut clock, 60, 50_000);
+        let transitions = feed(&mut c, 60, 50_000);
         let actions: Vec<QosAction> = transitions
             .iter()
             .filter_map(|t| match t {
@@ -632,20 +544,19 @@ mod tests {
     #[test]
     fn recovery_requires_a_long_comfortable_streak() {
         let mut c = QosController::new(config(), baseline());
-        let mut clock = 0;
-        feed(&mut c, &mut clock, 30, 50_000);
+        feed(&mut c, 30, 50_000);
         assert!(c.level() > 0);
         let degraded = c.level();
 
         // Latency inside the dead band (between margin and target) holds the
         // level indefinitely: no recovery, no further degradation.
-        let transitions = feed(&mut c, &mut clock, 100, 9_000);
+        let transitions = feed(&mut c, 100, 9_000);
         assert!(transitions.is_empty(), "dead band must hold the level");
         assert_eq!(c.level(), degraded);
 
         // Comfortable latency (below 70% of target) recovers one level per
         // recover_after-long streak, stepping all the way back to 0.
-        let transitions = feed(&mut c, &mut clock, 200, 2_000);
+        let transitions = feed(&mut c, 200, 2_000);
         let recoveries = transitions
             .iter()
             .filter(|t| matches!(t, QosTransition::Recovered { .. }))
@@ -666,11 +577,10 @@ mod tests {
         // windowed p95 stays violated, so the controller must ratchet down
         // and stay down — never bounce back up between bursts.
         let mut c = QosController::new(config(), baseline());
-        let mut clock = 0;
         let mut level_drops = 0;
         for burst in 0..40 {
             let step = if burst % 2 == 0 { 1_000 } else { 80_000 };
-            for t in feed(&mut c, &mut clock, 4, step) {
+            for t in feed(&mut c, 4, step) {
                 if matches!(t, QosTransition::Recovered { .. }) {
                     level_drops += 1;
                 }
@@ -678,35 +588,5 @@ mod tests {
         }
         assert!(c.level() > 0, "alternating overload must degrade");
         assert_eq!(level_drops, 0, "no recovery while violations keep coming");
-    }
-
-    #[test]
-    fn fps_target_alone_can_violate() {
-        // Latency is fine, but the 5 ms cadence (200 fps) violates a 300 fps
-        // floor once the window fills.
-        let slo = SessionSlo::p95_step_us(1_000_000).with_min_fps(300.0);
-        let mut c = QosController::new(
-            QosConfig::new(slo).with_window(8).with_streaks(2, 6),
-            baseline(),
-        );
-        let mut clock = 0;
-        let transitions = feed(&mut c, &mut clock, 40, 100);
-        assert!(
-            transitions
-                .iter()
-                .any(|t| matches!(t, QosTransition::Degraded { .. })),
-            "fps violation must degrade"
-        );
-        assert!(c.telemetry().slo_violations > 0);
-    }
-
-    #[test]
-    fn max_level_caps_the_ladder() {
-        let cfg = config().with_max_level(1);
-        let mut c = QosController::new(cfg, baseline());
-        let mut clock = 0;
-        feed(&mut c, &mut clock, 200, 50_000);
-        assert_eq!(c.level(), 1);
-        assert_eq!(c.telemetry().actuations[QosAction::WidenWindow.index()], 0);
     }
 }

@@ -193,8 +193,8 @@ struct Shared {
     /// frames without fresh allocations.  A separate lock from the
     /// engine: recycling never contends with scheduling.
     frames: Mutex<BufferPool>,
-    /// Engine start time; workers timestamp QoS observations against it so
-    /// per-session controllers share one monotonic µs clock.
+    /// Engine start time, the origin of the wall-clock seconds in every
+    /// telemetry fold.
     started: Instant,
 }
 
@@ -234,21 +234,31 @@ impl Shared {
     }
 
     fn mark_poisoned<'a>(&self, mut guard: MutexGuard<'a, Engine>) -> MutexGuard<'a, Engine> {
-        if guard.failed.is_none() {
-            let context = "engine lock poisoned by a panicked thread".to_owned(); // lint: alloc-ok(shard-failure path)
-            for slot in &mut guard.sessions {
-                let dropped = slot.inbox.clear();
-                slot.telemetry.frames_dropped += dropped as u64;
-                if slot.error.is_none() {
-                    slot.error = Some(AsvError::shard_down(context.clone())); // lint: alloc-ok(shard-failure path)
-                }
-            }
-            guard.failed = Some(context);
-            // Wake parked producers (to fail their submits) and workers.
-            self.work.notify_all();
-            self.space.notify_all();
-        }
+        self.fail_shard(&mut guard, "engine lock poisoned by a panicked thread");
         guard
+    }
+
+    /// Fails the shard once: every queued frame is dropped (and counted),
+    /// each queue-depth gauge reads zero, every session without an error
+    /// gets [`AsvError::ShardDown`], and parked producers (to fail their
+    /// submits) and workers are woken.  A no-op on a shard that already
+    /// failed.
+    fn fail_shard(&self, engine: &mut Engine, context: impl std::fmt::Display) {
+        if engine.failed.is_some() {
+            return;
+        }
+        let context = context.to_string(); // lint: alloc-ok(shard-failure path)
+        for slot in &mut engine.sessions {
+            let dropped = slot.inbox.clear();
+            slot.telemetry.frames_dropped += dropped as u64;
+            slot.telemetry.queue_depth.observe(0);
+            if slot.error.is_none() {
+                slot.error = Some(AsvError::shard_down(context.clone())); // lint: alloc-ok(shard-failure path)
+            }
+        }
+        engine.failed = Some(context);
+        self.work.notify_all();
+        self.space.notify_all();
     }
 }
 
@@ -375,28 +385,12 @@ impl Scheduler {
     /// Kills this shard: every session is marked dead with
     /// [`AsvError::ShardDown`], queued frames are dropped (and counted) and
     /// every future submit fails immediately.  Parked producers are woken so
-    /// a lost shard never wedges a feeder.  This is both the fault-injection
-    /// entry point of the sim's shard kill and what the runtime itself invokes
-    /// when it detects a poisoned engine lock.
+    /// a lost shard never wedges a feeder.  This is the fault-injection
+    /// entry point of the sim's shard kill, and the same failure the runtime
+    /// applies itself when it detects a poisoned engine lock.
     pub fn trip(&self, context: impl std::fmt::Display) {
         let mut engine = self.shared.lock();
-        if engine.failed.is_some() {
-            return;
-        }
-        let context = context.to_string();
-        for slot in &mut engine.sessions {
-            let dropped = slot.inbox.clear();
-            slot.telemetry.frames_dropped += dropped as u64;
-            if dropped > 0 {
-                slot.telemetry.queue_depth.observe(0);
-            }
-            if slot.error.is_none() {
-                slot.error = Some(AsvError::shard_down(context.clone()));
-            }
-        }
-        engine.failed = Some(context);
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
+        self.shared.fail_shard(&mut engine, context);
     }
 
     /// Whether this shard has failed (tripped or poisoned).
@@ -808,9 +802,7 @@ fn worker_loop(shared: &Shared) {
                     // The session's QoS loop senses the frame's end-to-end
                     // step latency (queue wait + service) and may retune the
                     // just-returned ISM state before the next dispatch.
-                    let completed_us = shared.started.elapsed().as_micros() as u64;
-                    let step_us = (waited + service).as_micros() as u64;
-                    slot.observe_qos(completed_us, step_us);
+                    slot.observe_qos((waited + service).as_micros() as u64);
                 }
                 Err(error) => {
                     let dropped = slot.inbox.clear();
@@ -832,5 +824,43 @@ fn worker_loop(shared: &Shared) {
         } else {
             engine = shared.wait_on(&shared.work, engine);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asv::ism::{IsmConfig, IsmPipeline};
+    use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
+
+    /// A poisoned engine lock fails the shard the way a trip does: the
+    /// queued frames count as dropped and the queue-depth gauge reads zero.
+    #[test]
+    fn poisoned_lock_drops_queued_frames_and_zeroes_the_gauge() {
+        let (width, height) = (32, 24);
+        let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(0));
+        let state = IsmPipeline::new(
+            IsmConfig::default(),
+            SurrogateStereoDnn::new(zoo::dispnet(height, width), SurrogateParams::default()),
+        )
+        .state();
+        let handle = scheduler.add_session(state, None, None);
+        for _ in 0..2 {
+            let frame = || Image::zeros(width, height);
+            handle.submit(frame(), frame()).unwrap();
+        }
+        assert_eq!(scheduler.telemetry_snapshot().current_queue_depth, 2);
+
+        let shared = Arc::clone(&scheduler.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _engine = shared.engine.lock();
+            panic!("poisoning the engine lock on purpose");
+        });
+        assert!(poisoner.join().is_err());
+
+        let telemetry = scheduler.telemetry_snapshot();
+        assert!(scheduler.is_failed());
+        assert_eq!(telemetry.current_queue_depth, 0);
+        assert_eq!(telemetry.frames_dropped, 2);
     }
 }

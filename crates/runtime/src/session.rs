@@ -91,11 +91,11 @@ impl StreamSession {
     /// sessions without one) and applies any resulting knob change to the
     /// resident ISM state.  Called under the engine lock right after
     /// [`StreamSession::put_back`], so the state is guaranteed resident.
-    pub(crate) fn observe_qos(&mut self, completed_us: u64, step_us: u64) {
+    pub(crate) fn observe_qos(&mut self, step_us: u64) {
         let Some(controller) = &mut self.qos else {
             return;
         };
-        if controller.observe_step(completed_us, step_us).is_some() {
+        if controller.observe_step(step_us).is_some() {
             let knobs = controller.knobs();
             let state = self
                 .state

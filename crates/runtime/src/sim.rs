@@ -822,7 +822,7 @@ pub fn run_overload_sim(config: &OverloadConfig, qos_enabled: bool) -> OverloadR
         session.steps.push(step_us);
 
         if let Some(controller) = &mut session.controller {
-            if controller.observe_step(complete, step_us).is_some() {
+            if controller.observe_step(step_us).is_some() {
                 session.knobs = controller.knobs();
             }
             session.max_level = session.max_level.max(controller.level());

@@ -184,7 +184,16 @@ fn queue_depth_tracks_every_transition() {
 fn tripped_shard_returns_shard_down_with_the_frames_attached() {
     let scheduler = manual_scheduler(4, ShedPolicy::Block);
     let handle = scheduler.add_session(state(), None, None);
+    for _ in 0..2 {
+        let (left, right) = frame();
+        handle.submit(left, right).unwrap();
+    }
     scheduler.trip("watchdog: worker heartbeat lost");
+    // The frames queued before the trip are dropped, and the gauge forgets
+    // them.
+    let live = scheduler.telemetry_snapshot();
+    assert_eq!(live.frames_dropped, 2);
+    assert_eq!(live.current_queue_depth, 0);
 
     let (left, right) = frame();
     let (err, left, right) = handle.submit_recoverable(left, right).unwrap_err();
@@ -205,5 +214,5 @@ fn tripped_shard_returns_shard_down_with_the_frames_attached() {
 
     let report = scheduler.join();
     let t = &report.sessions[0].telemetry;
-    assert_eq!(t.frames_dropped, 2, "both refused frames were counted");
+    assert_eq!(t.frames_dropped, 4, "both queued and both refused frames");
 }

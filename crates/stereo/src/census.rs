@@ -1,13 +1,13 @@
 //! Census transform and Hamming-distance matching costs.
 //!
 //! The census transform (Zabih & Woodfill) replaces each pixel by a bit
-//! string recording, for every neighbour in a small window, whether that
-//! neighbour is darker than the centre. Matching two census descriptors is a
-//! Hamming distance — XOR plus popcount — which turns the cost-volume fill
-//! into pure integer bitwise arithmetic and shrinks the volume to one byte
-//! per cell (4× smaller than the f32 SAD volume). This is the cost metric
-//! real-time stereo FPGA systems use and the key-frame fast path behind
-//! [`crate::CostMetric::Census`].
+//! string recording, for every neighbour in its 7×7 window, whether that
+//! neighbour is darker than the centre: 48 bits in one `u64`. Matching two
+//! census descriptors is a Hamming distance — XOR plus popcount — which
+//! turns the cost-volume fill into pure integer bitwise arithmetic and
+//! shrinks the volume to one byte per cell (4× smaller than the f32 SAD
+//! volume). This is the cost metric real-time stereo FPGA systems use and
+//! the key-frame fast path behind [`crate::CostMetric::Census`].
 //!
 //! All kernels dispatch through [`crate::simd`] (scalar / SSE4.2 / AVX2) and
 //! are bit-identical across tiers. Buffers are retained in place, so
@@ -17,68 +17,23 @@
 use crate::simd::{self, SimdLevel};
 use asv_image::Image;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// Census comparison window. Larger windows give more robust descriptors at
-/// the price of a wider border and more transform work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CensusWindow {
-    /// 5×5 window, 24 comparison bits, `u32` descriptors.
-    W5x5,
-    /// 7×7 window, 48 comparison bits, `u64` descriptors (the usual
-    /// accuracy/speed sweet spot; default).
-    #[default]
-    W7x7,
-    /// 9×7 window, 62 comparison bits, `u64` descriptors.
-    W9x7,
-}
+/// Radius of the census window: a descriptor compares its pixel with the
+/// other 48 pixels of the 7×7 window centred on it, one bit each, so it fits
+/// a `u64`.
+pub(crate) const WINDOW_RADIUS: usize = 3;
 
-impl CensusWindow {
-    /// Horizontal comparison radius.
-    pub fn rx(self) -> usize {
-        match self {
-            CensusWindow::W5x5 => 2,
-            CensusWindow::W7x7 => 3,
-            CensusWindow::W9x7 => 4,
-        }
-    }
+/// Side of the census window, and the number of source rows one output row
+/// of the transform reads.
+pub const WINDOW_SIDE: usize = 2 * WINDOW_RADIUS + 1;
 
-    /// Vertical comparison radius.
-    pub fn ry(self) -> usize {
-        match self {
-            CensusWindow::W5x5 => 2,
-            CensusWindow::W7x7 => 3,
-            CensusWindow::W9x7 => 3,
-        }
-    }
-
-    /// Number of comparison bits per descriptor.
-    pub fn bits(self) -> usize {
-        (2 * self.rx() + 1) * (2 * self.ry() + 1) - 1
-    }
-
-    /// Whether descriptors fit a `u32` (≤ 31 bits) or need a `u64`.
-    pub fn uses_u32(self) -> bool {
-        self.bits() <= 31
-    }
-}
-
-/// Maximum window height across [`CensusWindow`] variants (stack buffer for
-/// the per-row slice table).
-const MAX_WINDOW_ROWS: usize = 7;
-
-/// Per-pixel census descriptors of one image.
-///
-/// Storage lives in whichever of the two word vectors matches the window
-/// (`u32` for 5×5, `u64` otherwise); both are retained across refills so the
-/// steady state allocates nothing.
+/// Per-pixel census descriptors of one image, retained across refills so
+/// the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct CensusDescriptors {
     width: usize,
     height: usize,
-    window: CensusWindow,
-    words32: Vec<u32>,
-    words64: Vec<u64>,
+    words: Vec<u64>,
 }
 
 impl CensusDescriptors {
@@ -97,15 +52,9 @@ impl CensusDescriptors {
         self.height
     }
 
-    /// The window the descriptors were computed with.
-    pub fn window(&self) -> CensusWindow {
-        self.window
-    }
-
     /// Bytes currently retained by the descriptor storage.
     pub fn retained_bytes(&self) -> usize {
-        self.words32.capacity() * std::mem::size_of::<u32>()
-            + self.words64.capacity() * std::mem::size_of::<u64>()
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Releases retained storage.
@@ -113,73 +62,40 @@ impl CensusDescriptors {
         *self = Self::default();
     }
 
-    /// Row `y` of `u32` descriptors (5×5 window only).
-    pub fn row_u32(&self, y: usize) -> &[u32] {
-        &self.words32[y * self.width..][..self.width]
-    }
-
-    /// Row `y` of `u64` descriptors (7×7 / 9×7 windows).
-    pub fn row_u64(&self, y: usize) -> &[u64] {
-        &self.words64[y * self.width..][..self.width]
+    /// Row `y` of descriptors.
+    pub fn row(&self, y: usize) -> &[u64] {
+        &self.words[y * self.width..][..self.width]
     }
 
     /// Computes the census transform of `img`, reusing storage when the size
     /// matches the previous fill.
-    pub fn fill_from(&mut self, img: &Image, window: CensusWindow, level: SimdLevel) {
+    pub fn fill_from(&mut self, img: &Image, level: SimdLevel) {
         let width = img.width();
         let height = img.height();
         self.width = width;
         self.height = height;
-        self.window = window;
         let cells = width * height;
-        if window.uses_u32() {
-            if self.words32.len() != cells {
-                self.words32.clear();
-                self.words32.resize(cells, 0);
-            }
-        } else if self.words64.len() != cells {
-            self.words64.clear();
-            self.words64.resize(cells, 0);
+        if self.words.len() != cells {
+            self.words.clear();
+            self.words.resize(cells, 0);
         }
         if cells == 0 {
             return;
         }
         let pixels = img.as_slice();
-        let rx = window.rx();
-        let ry = window.ry();
-
         // One output row at a time: gather the (row-clamped) source rows of
         // the window into a stack table, then run the row kernel.
-        let row_table = |y: usize| -> ([&[f32]; MAX_WINDOW_ROWS], usize) {
-            let mut rows: [&[f32]; MAX_WINDOW_ROWS] = [&[]; MAX_WINDOW_ROWS];
-            let wh = 2 * ry + 1;
-            for (i, slot) in rows.iter_mut().enumerate().take(wh) {
-                let v =
-                    (y as isize + i as isize - ry as isize).clamp(0, height as isize - 1) as usize;
-                *slot = &pixels[v * width..][..width];
-            }
-            (rows, wh)
+        let fill_row = |y: usize, out: &mut [u64]| {
+            let rows: [&[f32]; WINDOW_SIDE] = std::array::from_fn(|i| {
+                let v = (y + i).saturating_sub(WINDOW_RADIUS).min(height - 1);
+                &pixels[v * width..][..width]
+            });
+            simd::census_row_u64(level, &rows, out);
         };
-
-        if window.uses_u32() {
-            let fill_row = |y: usize, out: &mut [u32]| {
-                let (rows, wh) = row_table(y);
-                simd::census_row_u32(level, &rows[..wh], rx, out);
-            };
-            self.words32
-                .par_chunks_mut(width)
-                .enumerate()
-                .for_each(|(y, out)| fill_row(y, out));
-        } else {
-            let fill_row = |y: usize, out: &mut [u64]| {
-                let (rows, wh) = row_table(y);
-                simd::census_row_u64(level, &rows[..wh], rx, out);
-            };
-            self.words64
-                .par_chunks_mut(width)
-                .enumerate()
-                .for_each(|(y, out)| fill_row(y, out));
-        }
+        self.words
+            .par_chunks_mut(width)
+            .enumerate()
+            .for_each(|(y, out)| fill_row(y, out));
     }
 }
 
@@ -301,7 +217,7 @@ impl CensusCostVolume {
     ///
     /// # Panics
     ///
-    /// Panics when the descriptor planes differ in size or window.
+    /// Panics when the descriptor planes differ in size.
     pub fn fill_from_descriptors(
         &mut self,
         left: &CensusDescriptors,
@@ -312,7 +228,6 @@ impl CensusCostVolume {
     ) {
         assert_eq!(left.width(), right.width(), "descriptor width mismatch");
         assert_eq!(left.height(), right.height(), "descriptor height mismatch");
-        assert_eq!(left.window(), right.window(), "descriptor window mismatch");
         let width = left.width();
         let height = left.height();
         self.width = width;
@@ -328,15 +243,8 @@ impl CensusCostVolume {
             return;
         }
         let row_stride = width * levels;
-        let use32 = left.window().uses_u32();
         let fill_row = |y: usize, out: &mut [u8]| {
-            if use32 {
-                let (l, r) = (left.row_u32(y), right.row_u32(y));
-                simd::hamming_row_u32(level, reference, l, r, levels, out);
-            } else {
-                let (l, r) = (left.row_u64(y), right.row_u64(y));
-                simd::hamming_row_u64(level, reference, l, r, levels, out);
-            }
+            simd::hamming_row_u64(level, reference, left.row(y), right.row(y), levels, out);
         };
         self.costs
             .par_chunks_mut(row_stride)
@@ -351,40 +259,64 @@ mod tests {
 
     #[test]
     fn window_geometry() {
-        assert_eq!(CensusWindow::W5x5.bits(), 24);
-        assert_eq!(CensusWindow::W7x7.bits(), 48);
-        assert_eq!(CensusWindow::W9x7.bits(), 62);
-        assert!(CensusWindow::W5x5.uses_u32());
-        assert!(!CensusWindow::W7x7.uses_u32());
-        assert!(!CensusWindow::W9x7.uses_u32());
-        assert_eq!(CensusWindow::default(), CensusWindow::W7x7);
+        // A bright centre over a dark background sets every comparison bit
+        // of its descriptor: the 48 low bits, scanned row by row.
+        let img = Image::from_fn(WINDOW_SIDE, WINDOW_SIDE, |x, y| {
+            if (x, y) == (WINDOW_RADIUS, WINDOW_RADIUS) {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        for &level in simd::available_levels() {
+            let mut desc = CensusDescriptors::new();
+            desc.fill_from(&img, level);
+            let got = desc.row(WINDOW_RADIUS)[WINDOW_RADIUS];
+            assert_eq!(got, (1u64 << 48) - 1, "level {}", level.name());
+            assert_eq!(got.count_ones() as usize, WINDOW_SIDE * WINDOW_SIDE - 1);
+        }
     }
 
+    /// Every tier's descriptors against the comparisons written out, over
+    /// sizes that cover the 3-px borders, the AVX2 tier's 8-pixel body and
+    /// its tail, and the row clamping of short images.
     #[test]
     fn descriptor_bits_match_direct_comparison() {
-        let img = Image::from_fn(11, 9, |x, y| ((x * 5 + y * 3) % 13) as f32 - 6.0);
-        let window = CensusWindow::W7x7;
-        let mut desc = CensusDescriptors::new();
-        desc.fill_from(&img, window, SimdLevel::Scalar);
-        let (rx, ry) = (window.rx() as isize, window.ry() as isize);
-        for y in 0..9usize {
-            for x in 0..11usize {
-                let got = desc.row_u64(y)[x];
-                let center = img.at(x, y);
-                let mut expect = 0u64;
-                let mut k = 0;
-                for dy in -ry..=ry {
-                    for dx in -rx..=rx {
-                        if dx == 0 && dy == 0 {
-                            continue;
+        let r = WINDOW_RADIUS as isize;
+        for width in 1..=24usize {
+            for height in 1..=8usize {
+                let img = Image::from_fn(width, height, |x, y| {
+                    ((x * 5 + y * 3 + width) % 13) as f32 - 6.0
+                });
+                for &level in simd::available_levels() {
+                    let mut desc = CensusDescriptors::new();
+                    desc.fill_from(&img, level);
+                    for y in 0..height {
+                        for x in 0..width {
+                            let center = img.at(x, y);
+                            let mut expect = 0u64;
+                            let mut k = 0;
+                            for dy in -r..=r {
+                                for dx in -r..=r {
+                                    if dx == 0 && dy == 0 {
+                                        continue;
+                                    }
+                                    let v = img.at_clamped(x as isize + dx, y as isize + dy);
+                                    if v < center {
+                                        expect |= 1 << k;
+                                    }
+                                    k += 1;
+                                }
+                            }
+                            assert_eq!(
+                                desc.row(y)[x],
+                                expect,
+                                "{width}x{height} pixel ({x},{y}) level {}",
+                                level.name()
+                            );
                         }
-                        if img.at_clamped(x as isize + dx, y as isize + dy) < center {
-                            expect |= 1 << k;
-                        }
-                        k += 1;
                     }
                 }
-                assert_eq!(got, expect, "pixel ({x},{y})");
             }
         }
     }
@@ -394,8 +326,8 @@ mod tests {
         let img = Image::from_fn(16, 8, |x, y| ((x * 7 + y * 11) % 17) as f32);
         let mut dl = CensusDescriptors::new();
         let mut dr = CensusDescriptors::new();
-        dl.fill_from(&img, CensusWindow::W5x5, SimdLevel::Scalar);
-        dr.fill_from(&img, CensusWindow::W5x5, SimdLevel::Scalar);
+        dl.fill_from(&img, SimdLevel::Scalar);
+        dr.fill_from(&img, SimdLevel::Scalar);
         let mut vol = CensusCostVolume::new();
         vol.fill_from_descriptors(&dl, &dr, 4, Reference::Left, SimdLevel::Scalar);
         for y in 0..8 {
@@ -414,8 +346,8 @@ mod tests {
         });
         let mut dl = CensusDescriptors::new();
         let mut dr = CensusDescriptors::new();
-        dl.fill_from(&left, CensusWindow::W7x7, SimdLevel::Scalar);
-        dr.fill_from(&right, CensusWindow::W7x7, SimdLevel::Scalar);
+        dl.fill_from(&left, SimdLevel::Scalar);
+        dr.fill_from(&right, SimdLevel::Scalar);
         let mut vol = CensusCostVolume::new();
         vol.fill_from_descriptors(&dl, &dr, 8, Reference::Left, SimdLevel::Scalar);
         // Interior pixels away from borders and the clamp zone.
@@ -434,9 +366,9 @@ mod tests {
         let img_a = Image::from_fn(12, 6, |x, y| (x + y) as f32);
         let img_b = Image::from_fn(12, 6, |x, y| (x * 2 + y) as f32);
         let mut desc = CensusDescriptors::new();
-        desc.fill_from(&img_a, CensusWindow::W7x7, SimdLevel::Scalar);
-        let ptr = desc.words64.as_ptr();
-        desc.fill_from(&img_b, CensusWindow::W7x7, SimdLevel::Scalar);
-        assert_eq!(desc.words64.as_ptr(), ptr, "storage must be reused");
+        desc.fill_from(&img_a, SimdLevel::Scalar);
+        let ptr = desc.words.as_ptr();
+        desc.fill_from(&img_b, SimdLevel::Scalar);
+        assert_eq!(desc.words.as_ptr(), ptr, "storage must be reused");
     }
 }

@@ -44,7 +44,7 @@ pub mod simd;
 pub mod triangulation;
 
 pub use block_matching::{block_match, refine_with_initial, BlockMatchParams};
-pub use census::{CensusCostVolume, CensusDescriptors, CensusWindow, Reference};
+pub use census::{CensusCostVolume, CensusDescriptors, Reference};
 pub use disparity::{DisparityMap, StereoError};
 pub use sgm::{semi_global_match, semi_global_match_with, CostMetric, SgmParams, SgmWorkspace};
 pub use simd::{active_level, available_levels, detected_level, SimdLevel};

@@ -7,7 +7,7 @@
 //! is also the highest-accuracy classic matcher in this reproduction, which is
 //! why the DNN surrogate in `asv-dnn` builds on it.
 
-use crate::census::{CensusCostVolume, CensusDescriptors, CensusWindow, Reference};
+use crate::census::{CensusCostVolume, CensusDescriptors, Reference};
 use crate::cost_volume::CostVolume;
 use crate::disparity::{DisparityMap, StereoError, INVALID_DISPARITY};
 use crate::simd::{self, SimdLevel, SweepMins, SweepStep};
@@ -64,11 +64,9 @@ pub struct SgmParams {
     /// Maximum allowed left-right disparity difference when the check is
     /// enabled.
     pub lr_threshold: f32,
-    /// Matching-cost metric (SAD block costs or census/Hamming).
+    /// Matching-cost metric (SAD block costs or census/Hamming over the 7×7
+    /// window of [`crate::census`]).
     pub metric: CostMetric,
-    /// Census comparison window (used when `metric` is
-    /// [`CostMetric::Census`]).
-    pub census_window: CensusWindow,
 }
 
 impl Default for SgmParams {
@@ -82,7 +80,6 @@ impl Default for SgmParams {
             left_right_check: false,
             lr_threshold: 1.5,
             metric: CostMetric::Sad,
-            census_window: CensusWindow::default(),
         }
     }
 }
@@ -658,8 +655,8 @@ fn census_match(
     let check = params.left_right_check;
     let [pass_l, pass_r] = passes;
     let fill_started = Instant::now();
-    census_l.fill_from(left, params.census_window, level);
-    census_r.fill_from(right, params.census_window, level);
+    census_l.fill_from(left, level);
+    census_r.fill_from(right, level);
     let max_disparity = params.max_disparity;
     pass_l
         .costs
@@ -950,19 +947,16 @@ mod tests {
     #[test]
     fn census_metric_recovers_two_plane_scene() {
         let (l, r, truth) = two_plane_pair(48, 32, 4, 10);
-        for window in [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7] {
-            let params = SgmParams {
-                max_disparity: 16,
-                metric: CostMetric::Census,
-                census_window: window,
-                p1: 2.0,
-                p2: 16.0,
-                ..Default::default()
-            };
-            let map = semi_global_match(&l, &r, &params).unwrap();
-            let err = map.three_pixel_error(&truth).unwrap();
-            assert!(err < 0.15, "{window:?} three-pixel error {err}");
-        }
+        let params = SgmParams {
+            max_disparity: 16,
+            metric: CostMetric::Census,
+            p1: 2.0,
+            p2: 16.0,
+            ..Default::default()
+        };
+        let map = semi_global_match(&l, &r, &params).unwrap();
+        let err = map.three_pixel_error(&truth).unwrap();
+        assert!(err < 0.15, "three-pixel error {err}");
     }
 
     #[test]
@@ -1039,9 +1033,9 @@ mod tests {
     }
 
     /// Pins the exact output bits of the census matcher, one hash per pair
-    /// size over every census window, the left-right check and sub-pixel
-    /// refinement on and off, three disparity ranges, and a penalty pair that
-    /// saturates the `u16` totals.  A rewrite of the aggregation that claims
+    /// size over the left-right check and sub-pixel refinement on and off,
+    /// three disparity ranges, and a penalty pair that saturates the `u16`
+    /// totals.  A rewrite of the aggregation that claims
     /// bit-identical output must leave these hashes alone.
     #[test]
     fn census_sgm_bits_are_pinned() {
@@ -1050,24 +1044,21 @@ mod tests {
         {
             let (left, right) = seeded_pair(width, height, seed as u64 + 1);
             let mut hash = 0xcbf2_9ce4_8422_2325u64;
-            for census_window in [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7] {
-                for left_right_check in [false, true] {
-                    for subpixel in [false, true] {
-                        for max_disparity in [1, 16, 40] {
-                            for (p1, p2) in [(2.0, 32.0), (30_000.0, 65_000.0)] {
-                                let params = SgmParams {
-                                    max_disparity,
-                                    p1,
-                                    p2,
-                                    subpixel,
-                                    left_right_check,
-                                    metric: CostMetric::Census,
-                                    census_window,
-                                    ..Default::default()
-                                };
-                                let map = semi_global_match(&left, &right, &params).unwrap();
-                                fnv1a(&mut hash, &map);
-                            }
+            for left_right_check in [false, true] {
+                for subpixel in [false, true] {
+                    for max_disparity in [1, 16, 40] {
+                        for (p1, p2) in [(2.0, 32.0), (30_000.0, 65_000.0)] {
+                            let params = SgmParams {
+                                max_disparity,
+                                p1,
+                                p2,
+                                subpixel,
+                                left_right_check,
+                                metric: CostMetric::Census,
+                                ..Default::default()
+                            };
+                            let map = semi_global_match(&left, &right, &params).unwrap();
+                            fnv1a(&mut hash, &map);
                         }
                     }
                 }
@@ -1075,10 +1066,10 @@ mod tests {
             hashes.push(hash);
         }
         let expected: [u64; 4] = [
-            0x3e70_b835_e05e_bda5,
-            0xe485_92f5_30fe_4c99,
-            0x7ab0_8889_4191_c6a0,
-            0x1577_bd94_abb2_cfff,
+            0xea39_157d_66ff_16a5,
+            0x1b75_7b9f_6633_7269,
+            0x4d6b_b49c_0c59_1fb9,
+            0xb2f5_ddd0_828d_b3c7,
         ];
         assert_eq!(hashes, expected, "got {hashes:#018x?}");
     }
@@ -1270,15 +1261,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The left-right check gives the bits of the mirrored reference
-        /// for both metrics, every census window and sub-pixel on and
-        /// off.
+        /// for both metrics and sub-pixel on and off.
         #[test]
         fn left_right_check_matches_the_mirrored_reference(
             width in 1usize..41,
             height in 1usize..41,
             max_disparity in 1usize..71,
             seed in 0u64..1_000,
-            window in 0usize..3,
             subpixel in 0u32..2,
             census in 0u32..2,
         ) {
@@ -1290,7 +1279,6 @@ mod tests {
                 subpixel,
                 left_right_check: true,
                 metric: if census { CostMetric::Census } else { CostMetric::Sad },
-                census_window: [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7][window],
                 ..Default::default()
             };
             let map = semi_global_match(&left, &right, &params).unwrap();

@@ -9,12 +9,13 @@
 //! scalar tier.
 //!
 //! **Bit-identity contract**: for any input, every tier of a kernel produces
-//! byte-identical output. Integer kernels (census compare/XOR/popcount,
-//! `u16` min+penalty aggregation) are exact by construction; the `f32` SAD
-//! kernels preserve the scalar per-output summation order (tap-by-tap
-//! accumulation, one output per lane), so no reassociation occurs. The
-//! differential test suite (`tests/simd_differential.rs`) enforces the
-//! contract across widths that exercise the vector remainder lanes.
+//! byte-identical output. Integer kernels (the 7×7 census transform into
+//! `u64` descriptors, their XOR/popcount Hamming costs, `u16` min+penalty
+//! aggregation) are exact by construction; the `f32` SAD kernels preserve
+//! the scalar per-output summation order (tap-by-tap accumulation, one
+//! output per lane), so no reassociation occurs. The differential test
+//! suite (`tests/simd_differential.rs`) enforces the contract across widths
+//! that exercise the vector remainder lanes.
 //!
 //! The public kernel entry points take an explicit [`SimdLevel`] so tests can
 //! pin a tier; production callers pass [`active_level`].
@@ -24,7 +25,7 @@
 // scoped to this module and every unsafe block documents its invariant.
 #![allow(unsafe_code)]
 
-use crate::census::Reference;
+use crate::census::{Reference, WINDOW_RADIUS, WINDOW_SIDE};
 use std::sync::OnceLock;
 
 /// Instruction-set tier a kernel runs at.
@@ -282,42 +283,24 @@ fn sad_walk_scalar(
 // Census transform kernels
 // ---------------------------------------------------------------------------
 
-/// Census transform of one output row into `u64` descriptors.
+/// Census transform of one output row.
 ///
-/// `rows` holds the `2·ry + 1` (already row-clamped) source rows of the
-/// window, centre at index `rows.len() / 2`; `rx` is the horizontal radius.
-/// Bit `k` of `out[x]` is set when the `k`-th neighbour (window scanned
-/// top-to-bottom, left-to-right, centre skipped) is strictly darker than the
-/// centre pixel. Horizontal border clamping replicates the edge columns.
-pub fn census_row_u64(level: SimdLevel, rows: &[&[f32]], rx: usize, out: &mut [u64]) {
+/// `rows` holds the [`WINDOW_SIDE`] (already row-clamped) source rows of the
+/// window, centre row in the middle.  Bit `k` of `out[x]` is set when the
+/// `k`-th neighbour (window scanned top-to-bottom, left-to-right, centre
+/// skipped) is strictly darker than the centre pixel. Horizontal border
+/// clamping replicates the edge columns.
+pub fn census_row_u64(level: SimdLevel, rows: &[&[f32]; WINDOW_SIDE], out: &mut [u64]) {
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             // SAFETY: caller verified AVX2 support.
-            unsafe { census_row_u64_avx2(rows, rx, out) }
+            unsafe { census_row_u64_avx2(rows, out) }
         }
         _ => {
             let width = out.len();
             for (x, slot) in out.iter_mut().enumerate() {
-                *slot = census_pixel_u64(rows, rx, x, width);
-            }
-        }
-    }
-}
-
-/// Census transform of one output row into `u32` descriptors (windows of at
-/// most 31 comparison bits, i.e. 5×5).
-pub fn census_row_u32(level: SimdLevel, rows: &[&[f32]], rx: usize, out: &mut [u32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            // SAFETY: caller verified AVX2 support.
-            unsafe { census_row_u32_avx2(rows, rx, out) }
-        }
-        _ => {
-            let width = out.len();
-            for (x, slot) in out.iter_mut().enumerate() {
-                *slot = census_pixel_u64(rows, rx, x, width) as u32;
+                *slot = census_pixel_u64(rows, x, width);
             }
         }
     }
@@ -325,14 +308,14 @@ pub fn census_row_u32(level: SimdLevel, rows: &[&[f32]], rx: usize, out: &mut [u
 
 /// Scalar census descriptor of pixel `x` (shared by every tier's border
 /// handling).
-fn census_pixel_u64(rows: &[&[f32]], rx: usize, x: usize, width: usize) -> u64 {
-    let ry = rows.len() / 2;
-    let center = rows[ry][x];
+fn census_pixel_u64(rows: &[&[f32]; WINDOW_SIDE], x: usize, width: usize) -> u64 {
+    let r = WINDOW_RADIUS as isize;
+    let center = rows[WINDOW_RADIUS][x];
     let mut desc = 0u64;
     let mut k = 0u32;
     for (ci, row) in rows.iter().enumerate() {
-        for dx in -(rx as isize)..=(rx as isize) {
-            if ci == ry && dx == 0 {
+        for dx in -r..=r {
+            if ci == WINDOW_RADIUS && dx == 0 {
                 continue;
             }
             let nx = (x as isize + dx).clamp(0, width as isize - 1) as usize;
@@ -388,43 +371,12 @@ pub fn hamming_row_u64(
     }
 }
 
-/// Hamming cost row over `u32` descriptors (see [`hamming_row_u64`]).
-pub fn hamming_row_u32(
-    level: SimdLevel,
-    reference: Reference,
-    ldesc: &[u32],
-    rdesc: &[u32],
-    levels: usize,
-    out: &mut [u8],
-) {
-    assert_eq!(ldesc.len(), rdesc.len());
-    assert_eq!(out.len(), ldesc.len() * levels);
-    if levels == 0 {
-        return;
-    }
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            // SAFETY: caller verified AVX2 support; the slice lengths were
-            // checked above.
-            unsafe { hamming_row_u32_avx2(reference, ldesc, rdesc, levels, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse42 => {
-            // SAFETY: caller verified SSE4.2 + popcnt support.
-            unsafe { hamming_row_u32_popcnt(reference, ldesc, rdesc, levels, out) }
-        }
-        _ => hamming_row_scalar(reference, ldesc, rdesc, levels, out),
-    }
-}
-
-/// The scalar Hamming row of either descriptor width; also the border and
-/// tail path of the AVX2 tier (one pixel's span from disparity `from` on).
+/// The scalar Hamming row.
 #[inline]
-fn hamming_row_scalar<T: Copy + Into<u64>>(
+fn hamming_row_scalar(
     reference: Reference,
-    ldesc: &[T],
-    rdesc: &[T],
+    ldesc: &[u64],
+    rdesc: &[u64],
     levels: usize,
     out: &mut [u8],
 ) {
@@ -433,27 +385,28 @@ fn hamming_row_scalar<T: Copy + Into<u64>>(
     }
 }
 
-/// Disparities `from..` of pixel `x`'s span (see [`hamming_row_u64`]).
+/// Disparities `from..` of pixel `x`'s span (see [`hamming_row_u64`]); also
+/// the border and tail path of the AVX2 tier.
 #[inline]
-fn hamming_span_scalar<T: Copy + Into<u64>>(
+fn hamming_span_scalar(
     reference: Reference,
-    ldesc: &[T],
-    rdesc: &[T],
+    ldesc: &[u64],
+    rdesc: &[u64],
     x: usize,
     from: usize,
     span: &mut [u8],
 ) {
     let last = ldesc.len() - 1;
     let (own, other) = match reference {
-        Reference::Left => (ldesc[x].into(), rdesc),
-        Reference::Right => (rdesc[x].into(), ldesc),
+        Reference::Left => (ldesc[x], rdesc),
+        Reference::Right => (rdesc[x], ldesc),
     };
     for (d, slot) in span.iter_mut().enumerate().skip(from) {
         let o = match reference {
             Reference::Left => x.saturating_sub(d),
             Reference::Right => (x + d).min(last),
         };
-        *slot = (own ^ other[o].into()).count_ones() as u8;
+        *slot = (own ^ other[o]).count_ones() as u8;
     }
 }
 
@@ -637,7 +590,7 @@ fn census_sweep_step_scalar(step: &mut SweepStep<'_>) -> SweepMins {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use crate::census::Reference;
+    use crate::census::{Reference, WINDOW_RADIUS, WINDOW_SIDE};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -776,22 +729,22 @@ mod x86 {
     /// `rows` has at least `out.len()` elements; the border columns fall
     /// back to the clamped scalar path internally.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn census_row_u64_avx2(rows: &[&[f32]], rx: usize, out: &mut [u64]) {
+    pub(super) unsafe fn census_row_u64_avx2(rows: &[&[f32]; WINDOW_SIDE], out: &mut [u64]) {
         let width = out.len();
-        let ry = rows.len() / 2;
-        let center_row = rows[ry];
-        let lo = rx.min(width);
-        let hi = width.saturating_sub(rx).max(lo);
+        let r = WINDOW_RADIUS as isize;
+        let center_row = rows[WINDOW_RADIUS];
+        let lo = WINDOW_RADIUS.min(width);
+        let hi = width.saturating_sub(WINDOW_RADIUS).max(lo);
         for (x, slot) in out.iter_mut().enumerate().take(lo) {
-            *slot = super::census_pixel_u64(rows, rx, x, width);
+            *slot = super::census_pixel_u64(rows, x, width);
         }
         for (x, slot) in out.iter_mut().enumerate().skip(hi) {
-            *slot = super::census_pixel_u64(rows, rx, x, width);
+            *slot = super::census_pixel_u64(rows, x, width);
         }
         let mut x = lo;
         // SAFETY: for x in [lo, hi - 8] every neighbour load x + dx with
-        // |dx| <= rx stays within [0, width - 8], so 8-wide unaligned loads
-        // and the two 4-wide u64 stores are in bounds.
+        // |dx| <= WINDOW_RADIUS stays within [0, width - 8], so 8-wide
+        // unaligned loads and the two 4-wide u64 stores are in bounds.
         unsafe {
             while x + 8 <= hi {
                 let center = _mm256_loadu_ps(center_row.as_ptr().add(x));
@@ -799,8 +752,8 @@ mod x86 {
                 let mut acc_hi = _mm256_setzero_si256();
                 let mut k = 0u32;
                 for (ci, row) in rows.iter().enumerate() {
-                    for dx in -(rx as isize)..=(rx as isize) {
-                        if ci == ry && dx == 0 {
+                    for dx in -r..=r {
+                        if ci == WINDOW_RADIUS && dx == 0 {
                             continue;
                         }
                         let nb = _mm256_loadu_ps(row.as_ptr().offset(x as isize + dx));
@@ -819,53 +772,7 @@ mod x86 {
             }
         }
         for (xi, slot) in out.iter_mut().enumerate().take(hi).skip(x) {
-            *slot = super::census_pixel_u64(rows, rx, xi, width);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `avx2` and that every row in
-    /// `rows` has at least `out.len()` elements, as for the u64 variant.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn census_row_u32_avx2(rows: &[&[f32]], rx: usize, out: &mut [u32]) {
-        let width = out.len();
-        let ry = rows.len() / 2;
-        let center_row = rows[ry];
-        let lo = rx.min(width);
-        let hi = width.saturating_sub(rx).max(lo);
-        for (x, slot) in out.iter_mut().enumerate().take(lo) {
-            *slot = super::census_pixel_u64(rows, rx, x, width) as u32;
-        }
-        for (x, slot) in out.iter_mut().enumerate().skip(hi) {
-            *slot = super::census_pixel_u64(rows, rx, x, width) as u32;
-        }
-        let mut x = lo;
-        // SAFETY: same bounds argument as the u64 variant; one 8-wide u32
-        // store per iteration.
-        unsafe {
-            while x + 8 <= hi {
-                let center = _mm256_loadu_ps(center_row.as_ptr().add(x));
-                let mut acc = _mm256_setzero_si256();
-                let mut k = 0u32;
-                for (ci, row) in rows.iter().enumerate() {
-                    for dx in -(rx as isize)..=(rx as isize) {
-                        if ci == ry && dx == 0 {
-                            continue;
-                        }
-                        let nb = _mm256_loadu_ps(row.as_ptr().offset(x as isize + dx));
-                        let m = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LT_OQ>(nb, center));
-                        let bit = _mm256_set1_epi32(1i32 << k);
-                        acc = _mm256_or_si256(acc, _mm256_and_si256(m, bit));
-                        k += 1;
-                    }
-                }
-                _mm256_storeu_si256(out.as_mut_ptr().add(x).cast(), acc);
-                x += 8;
-            }
-        }
-        for (xi, slot) in out.iter_mut().enumerate().take(hi).skip(x) {
-            *slot = super::census_pixel_u64(rows, rx, xi, width) as u32;
+            *slot = super::census_pixel_u64(rows, xi, width);
         }
     }
 
@@ -886,21 +793,6 @@ mod x86 {
         super::hamming_row_scalar(reference, ldesc, rdesc, levels, out);
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2` and `popcnt`; the body
-    /// is the safe scalar kernel, recompiled with hardware popcount.
-    #[target_feature(enable = "sse4.2", enable = "popcnt")]
-    pub(super) unsafe fn hamming_row_u32_popcnt(
-        reference: Reference,
-        ldesc: &[u32],
-        rdesc: &[u32],
-        levels: usize,
-        out: &mut [u8],
-    ) {
-        super::hamming_row_scalar(reference, ldesc, rdesc, levels, out);
-    }
-
     /// Per-byte popcount via the nibble-LUT `vpshufb` trick.
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -916,21 +808,9 @@ mod x86 {
     }
 
     /// Byte `k` of the 16-disparity block at `d` comes from packed byte
-    /// `MASK[k]`; see the two kernels below for the packed layouts.
+    /// `MASK[k]`; see the kernel below for the packed layout.
     const U64_LEFT: [u8; 16] = [15, 11, 7, 3, 14, 10, 6, 2, 13, 9, 5, 1, 12, 8, 4, 0];
     const U64_RIGHT: [u8; 16] = [0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15];
-    const U32_LEFT: ([u8; 16], [i32; 8]) = (
-        [
-            12, 8, 4, 0, 13, 9, 5, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
-        ],
-        [5, 1, 4, 0, 5, 1, 4, 0],
-    );
-    const U32_RIGHT: ([u8; 16], [i32; 8]) = (
-        [
-            0, 4, 8, 12, 1, 5, 9, 13, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
-        ],
-        [0, 4, 1, 5, 0, 4, 1, 5],
-    );
 
     /// Sixteen disparities per step.  The block's 16 descriptors of the
     /// other view are contiguous; register `i` holds descriptors `4i..4i+4`
@@ -985,69 +865,6 @@ mod x86 {
                     );
                     let low = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(packed, gather));
                     _mm_storeu_si128(span.as_mut_ptr().add(d).cast(), _mm_shuffle_epi8(low, mask));
-                }
-                d += 16;
-            }
-            super::hamming_span_scalar(reference, ldesc, rdesc, x, d, span);
-        }
-    }
-
-    /// The `u32` counterpart of [`hamming_row_u64_avx2`]: register `i`
-    /// holds descriptors `8i..8i+8`, popcounted per dword; shifting register
-    /// 1 left by 8 bits and OR-ing puts descriptor `j`'s count in byte 0 and
-    /// descriptor `8 + j`'s in byte 1 of dword `j`.  A lane-wise `pshufb`
-    /// then packs each 128-bit lane's eight counts into its two low dwords,
-    /// and `vpermd` orders the four dwords by disparity.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `avx2`, with the slice contract
-    /// of the u64 variant.
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub(super) unsafe fn hamming_row_u32_avx2(
-        reference: Reference,
-        ldesc: &[u32],
-        rdesc: &[u32],
-        levels: usize,
-        out: &mut [u8],
-    ) {
-        let width = ldesc.len();
-        let (own_row, other, (bytes, dwords)) = match reference {
-            Reference::Left => (ldesc, rdesc, U32_LEFT),
-            Reference::Right => (rdesc, ldesc, U32_RIGHT),
-        };
-        // SAFETY: `bytes` is 16 and `dwords` 32 readable bytes.
-        let (shuffle, order) = unsafe {
-            let bytes = _mm_loadu_si128(bytes.as_ptr().cast());
-            (
-                _mm256_set_m128i(bytes, bytes),
-                _mm256_loadu_si256(dwords.as_ptr().cast()),
-            )
-        };
-        let ones8 = _mm256_set1_epi8(1);
-        let ones16 = _mm256_set1_epi16(1);
-        for (x, span) in out.chunks_exact_mut(levels).enumerate() {
-            let own = _mm256_set1_epi32(own_row[x] as i32);
-            let mut d = 0;
-            while d + 16 <= levels {
-                let Some(start) = super::hamming_block_start(reference, x, d, width) else {
-                    break;
-                };
-                // SAFETY: as in the u64 variant, `start + 16 <= width` and
-                // the store ends at `d + 16 <= levels`.
-                unsafe {
-                    let count = |i: usize| {
-                        let block = _mm256_loadu_si256(other.as_ptr().add(start + 8 * i).cast());
-                        let bytes = popcnt_epi8(_mm256_xor_si256(own, block));
-                        _mm256_madd_epi16(_mm256_maddubs_epi16(bytes, ones8), ones16)
-                    };
-                    let packed = _mm256_or_si256(count(0), _mm256_slli_epi32::<8>(count(1)));
-                    let lanes = _mm256_shuffle_epi8(packed, shuffle);
-                    let ordered = _mm256_permutevar8x32_epi32(lanes, order);
-                    _mm_storeu_si128(
-                        span.as_mut_ptr().add(d).cast(),
-                        _mm256_castsi256_si128(ordered),
-                    );
                 }
                 d += 16;
             }
@@ -1180,9 +997,9 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    abs_diff_row_avx2, add_assign_rows_avx2, census_row_u32_avx2, census_row_u64_avx2,
-    census_sweep_row_avx2, census_sweep_step_avx2, hamming_row_u32_avx2, hamming_row_u32_popcnt,
-    hamming_row_u64_avx2, hamming_row_u64_popcnt, hwindow_sums_avx2, sad_walks4_avx2,
+    abs_diff_row_avx2, add_assign_rows_avx2, census_row_u64_avx2, census_sweep_row_avx2,
+    census_sweep_step_avx2, hamming_row_u64_avx2, hamming_row_u64_popcnt, hwindow_sums_avx2,
+    sad_walks4_avx2,
 };
 
 /// Scalar abs-diff over a sub-range of `out` (border handling shared by the

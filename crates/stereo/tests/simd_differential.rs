@@ -11,7 +11,7 @@
 //! comparisons are exercised on every tier the runner supports.
 
 use asv_image::Image;
-use asv_stereo::census::{CensusCostVolume, CensusDescriptors, CensusWindow, Reference};
+use asv_stereo::census::{CensusCostVolume, CensusDescriptors, Reference, WINDOW_SIDE};
 use asv_stereo::simd::{self, available_levels, SimdLevel, SweepStep};
 use proptest::prelude::*;
 
@@ -103,30 +103,16 @@ proptest! {
     fn census_rows_are_bit_identical_across_tiers(
         pixels in collection::vec(0u32..256, 9..200),
         width in 1usize..70,
-        which in 0usize..3,
     ) {
-        let window = [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7][which];
-        let (rx, ry) = (window.rx(), window.ry());
-        let height = 2 * ry + 1;
         let mut pixels = to_f32(&pixels);
-        pixels.resize(width * height, 7.0);
-        let rows: Vec<&[f32]> = pixels.chunks(width).collect();
-        if window.uses_u32() {
-            let mut reference = vec![0u32; width];
-            simd::census_row_u32(SimdLevel::Scalar, &rows, rx, &mut reference);
-            for level in simd_levels() {
-                let mut out = vec![u32::MAX; width];
-                simd::census_row_u32(level, &rows, rx, &mut out);
-                prop_assert_eq!(&reference, &out, "{} census_row_u32", level.name());
-            }
-        } else {
-            let mut reference = vec![0u64; width];
-            simd::census_row_u64(SimdLevel::Scalar, &rows, rx, &mut reference);
-            for level in simd_levels() {
-                let mut out = vec![u64::MAX; width];
-                simd::census_row_u64(level, &rows, rx, &mut out);
-                prop_assert_eq!(&reference, &out, "{} census_row_u64", level.name());
-            }
+        pixels.resize(width * WINDOW_SIDE, 7.0);
+        let rows: [&[f32]; WINDOW_SIDE] = std::array::from_fn(|i| &pixels[i * width..][..width]);
+        let mut reference = vec![0u64; width];
+        simd::census_row_u64(SimdLevel::Scalar, &rows, &mut reference);
+        for level in simd_levels() {
+            let mut out = vec![u64::MAX; width];
+            simd::census_row_u64(level, &rows, &mut out);
+            prop_assert_eq!(&reference, &out, "{} census_row_u64", level.name());
         }
     }
 
@@ -159,16 +145,6 @@ proptest! {
             let mut out = vec![u8::MAX; expected.len()];
             simd::hamming_row_u64(level, reference, &ldesc, &rdesc, levels, &mut out);
             prop_assert_eq!(&expected, &out, "{} {:?} hamming_row_u64", level.name(), reference);
-        }
-
-        let ldesc32: Vec<u32> = ldesc.iter().map(|&v| v as u32).collect();
-        let rdesc32: Vec<u32> = rdesc.iter().map(|&v| v as u32).collect();
-        let mut expected32 = vec![0u8; ldesc32.len() * levels];
-        simd::hamming_row_u32(SimdLevel::Scalar, reference, &ldesc32, &rdesc32, levels, &mut expected32);
-        for level in simd_levels() {
-            let mut out = vec![u8::MAX; expected32.len()];
-            simd::hamming_row_u32(level, reference, &ldesc32, &rdesc32, levels, &mut out);
-            prop_assert_eq!(&expected32, &out, "{} {:?} hamming_row_u32", level.name(), reference);
         }
     }
 
@@ -237,9 +213,7 @@ proptest! {
         width in 4usize..40,
         height in 4usize..24,
         max_disparity in 1usize..24,
-        which in 0usize..3,
     ) {
-        let window = [CensusWindow::W5x5, CensusWindow::W7x7, CensusWindow::W9x7][which];
         let mut pixels = to_f32(&pixels);
         pixels.resize(width * height, 11.0);
         let left = Image::from_vec(width, height, pixels.clone()).unwrap();
@@ -248,9 +222,9 @@ proptest! {
         let right = Image::from_vec(width, height, shifted).unwrap();
 
         for reference in [Reference::Left, Reference::Right] {
-        let expected = volume_at(&left, &right, window, max_disparity, reference, SimdLevel::Scalar);
+        let expected = volume_at(&left, &right, max_disparity, reference, SimdLevel::Scalar);
         for level in simd_levels() {
-            let volume = volume_at(&left, &right, window, max_disparity, reference, level);
+            let volume = volume_at(&left, &right, max_disparity, reference, level);
             for y in 0..height {
                 for x in 0..width {
                     for d in 0..expected.num_disparities() {
@@ -270,15 +244,14 @@ proptest! {
 fn volume_at(
     left: &Image,
     right: &Image,
-    window: CensusWindow,
     max_disparity: usize,
     reference: Reference,
     level: SimdLevel,
 ) -> CensusCostVolume {
     let mut dl = CensusDescriptors::new();
     let mut dr = CensusDescriptors::new();
-    dl.fill_from(left, window, level);
-    dr.fill_from(right, window, level);
+    dl.fill_from(left, level);
+    dr.fill_from(right, level);
     let mut volume = CensusCostVolume::new();
     volume.fill_from_descriptors(&dl, &dr, max_disparity, reference, level);
     volume
